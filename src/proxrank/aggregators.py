@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -47,6 +47,8 @@ __all__ = [
     "petkova_score",
     "positional_term_distribution",
     "rank_deciles",
+    "segment_aggregate",
+    "segment_deciles",
     "transform_eval",
     "transform_value",
     "voting_aggregates",
@@ -221,26 +223,76 @@ def aggregate_score(spec: AggregatorSpec, weights, features) -> float:
 
 
 def aggregate_gradient(spec: AggregatorSpec, weights, features) -> np.ndarray:
-    """dV/dw for the entity.  Sum/avg differentiate the transform chain;
-    softor uses d/dw [1 - prod(1 - sigmoid(s_x))] = sum_x sigmoid(s_x) *
-    prod_all(1 - sigmoid) * f_x (the (1 - sigmoid(s_x)) factor of the
-    usual product rule folds into the full product).  softcutoff holds
-    the rank-derived deciles fixed."""
+    """dV/dw for the entity: the one-segment case of :func:`segment_aggregate`."""
     w, F = _check_matrix(weights, features)
-    s = F @ w
+    n = F.shape[0]
+    _, coef = segment_aggregate(spec, F @ w, np.array([0, n]), np.zeros(n, dtype=int))
+    return F.T @ coef(np.ones(1))
+
+
+def segment_deciles(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """:func:`rank_deciles` of every segment scores[offsets[k]:offsets[k+1]]
+    at once, returned per original row."""
+    s = np.asarray(scores, dtype=float)
+    counts = np.diff(offsets)
+    rows = np.arange(s.shape[0])
+    # Segments are contiguous, so ordering by segment id first leaves
+    # each segment's rank positions inside its own row range.
+    order = np.lexsort((rows, -s, np.repeat(np.arange(counts.shape[0]), counts)))
+    position = rows - np.repeat(offsets[:-1], counts)
+    deciles = np.minimum((NUM_DECILES * position) // np.repeat(counts, counts), NUM_DECILES - 1)
+    out = np.empty(s.shape[0], dtype=int)
+    out[order] = deciles
+    return out
+
+
+def segment_aggregate(
+    spec: AggregatorSpec, s: np.ndarray, offsets: np.ndarray, segments: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Segment-wise entity scores and their chain rule.
+
+    Segment k holds the raw context scores s[offsets[k]:offsets[k+1]] and
+    ``segments`` gives each row's segment id.  Returns V (one score per
+    segment) and a builder mapping per-segment coefficients c to
+    per-context coefficients, so that sum_k c_k dV_k/dw = F.T @ build(c)
+    when s = F @ w.  Sum/avg differentiate the transform chain; softor
+    uses d/dw [1 - prod(1 - sigmoid(s_x))] = sum_x sigmoid(s_x) *
+    prod_all(1 - sigmoid) * f_x (the (1 - sigmoid(s_x)) factor of the
+    usual product rule folds into the full product); softcutoff holds the
+    rank-derived deciles fixed.  Segments are summed in row order, not
+    sorted as in :func:`aggregate_score`.
+    """
+    starts = offsets[:-1]
     if spec.operator == "softor":
         log_one_minus = -np.logaddexp(0.0, s)
-        full_product = math.exp(float(np.sum(log_one_minus)))
-        coef = expit(s) * full_product
-        return F.T @ coef
+        seg_log = np.add.reduceat(log_one_minus, starts)
+        V = -np.expm1(seg_log)
+        product = np.exp(seg_log)
+        sig = expit(s)
+
+        def build(entity_coef: np.ndarray) -> np.ndarray:
+            return sig * (entity_coef * product)[segments]
+
+        return V, build
     if spec.operator == "softcutoff":
-        decay = np.asarray(spec.decay, dtype=float)
-        return F.T @ decay[rank_deciles(s)]
-    _, deriv = transform_eval(spec.transform, s)
-    grad = F.T @ deriv
+        weights_ctx = np.asarray(spec.decay, dtype=float)[segment_deciles(s, offsets)]
+        V = np.add.reduceat(weights_ctx * s, starts)
+
+        def build(entity_coef: np.ndarray) -> np.ndarray:
+            return weights_ctx * entity_coef[segments]
+
+        return V, build
+    value, deriv = transform_eval(spec.transform, s)
+    V = np.add.reduceat(value, starts)
+    scale = np.ones(starts.shape[0])
     if spec.operator == "avg":
-        grad /= s.shape[0]
-    return grad
+        scale = 1.0 / np.diff(offsets)
+        V = V * scale
+
+    def build(entity_coef: np.ndarray) -> np.ndarray:
+        return deriv * (entity_coef * scale)[segments]
+
+    return V, build
 
 
 # -- rank-fusion aggregates -------------------------------------------------

@@ -177,7 +177,6 @@ class CorpusStats:
     collection_len: int
     doc_len: dict[str, int]
     phrase_df: dict[tuple[str, ...], int] = field(default_factory=dict)
-    phrase_cf: dict[tuple[str, ...], int] = field(default_factory=dict)
 
     @property
     def avg_doc_len(self) -> float:
@@ -253,15 +252,9 @@ class CorpusIndex:
         if len(key) < 2:
             return self.stats.df.get(key[0], 0) if key else 0
         if key not in self.stats.phrase_df:
-            df = 0
-            cf = 0
-            for doc_id in sorted(self.postings.get(key[0], ())):
-                hits = len(self.occurrences(doc_id, key))
-                if hits:
-                    df += 1
-                    cf += hits
-            self.stats.phrase_df[key] = df
-            self.stats.phrase_cf[key] = cf
+            self.stats.phrase_df[key] = sum(
+                1 for doc_id in self.postings.get(key[0], ()) if self.occurrences(doc_id, key)
+            )
         return self.stats.phrase_df[key]
 
     def warm_query(self, query: Query) -> None:
@@ -269,16 +262,6 @@ class CorpusIndex:
         for term in query.distinct_terms():
             if term.is_phrase:
                 self.phrase_df(term.tokens)
-
-    def idf(self, text: str) -> float:
-        tokens = text.split()
-        if len(tokens) > 1:
-            self.phrase_df(tokens)
-        return compute_idf(self.stats, text)
-
-    def query_idf(self, query: Query) -> float:
-        self.warm_query(query)
-        return compute_idf(self.stats, query)
 
     # -- occurrence lookup ---------------------------------------------
 

@@ -339,5 +339,8 @@ def read_run(path: str) -> list[Ranking]:
             scores = by_query.setdefault(qid, {})
             if eid in scores:
                 raise EvalError(f"{path}:{lineno}: duplicate entity {eid!r} for query {qid!r}")
-            scores[eid] = float(score)
+            value = float(score)
+            if not math.isfinite(value):
+                raise EvalError(f"{path}:{lineno}: score {score!r} for {eid!r} is not finite")
+            scores[eid] = value
     return [rank_entities(qid, scores) for qid, scores in sorted(by_query.items())]

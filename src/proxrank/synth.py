@@ -204,6 +204,11 @@ def generate_synthetic(
             n_plant = max(1, round(params.num_filler_docs * frac))
             chosen = rng.choice(params.num_filler_docs, size=n_plant, replace=False)
             for d in sorted(int(x) for x in chosen):
+                if len(filler_planted[d]) == params.filler_len:
+                    raise SynthError(
+                        f"filler document f{d:03d} has no free slot for term {term!r}: "
+                        f"all {params.filler_len} tokens already hold planted terms"
+                    )
                 pos = int(rng.integers(0, params.filler_len))
                 while pos in filler_planted[d]:
                     pos = (pos + 1) % params.filler_len

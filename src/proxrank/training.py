@@ -23,10 +23,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_array, csr_array, eye_array
 from scipy.special import expit
 
 from proxrank.aggregators import (
@@ -34,8 +35,8 @@ from proxrank.aggregators import (
     AggregatorSpec,
     aggregate_score,
     macdonald_features,
-    rank_deciles,
-    transform_eval,
+    segment_aggregate,
+    segment_deciles,
 )
 from proxrank.corpus import (
     CorpusIndex,
@@ -71,6 +72,13 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "proxrank-model"
 
+# Backtracking line search: first step, shrink factor per backtrack,
+# Armijo sufficient-decrease fraction, and backtracks per iteration.
+STEP_INIT = 1.0
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
+
 
 class TrainingError(RuntimeError):
     """Training cannot proceed or has diverged."""
@@ -83,10 +91,6 @@ class TrainConfig:
     init_weight: float = 0.01
     max_iters: int = 200
     tol: float = 1e-6                # relative objective change at convergence
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 40
     pair_cap: int = 10_000           # per-query ceiling on (good, bad) pairs
     folds: int = 5                   # inner folds for ridge-width selection
     seed: int = 0
@@ -266,47 +270,18 @@ def pair_sample(
     return ks // n_bad, ks % n_bad
 
 
-def _entity_values_and_context_coef(
-    spec: AggregatorSpec, s: np.ndarray, pq: PreparedQuery
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Entity scores V plus a builder mapping per-entity loss coefficients
-    to per-context gradient coefficients (so grad_q = stack.T @ coef)."""
-    counts = np.diff(pq.offsets)
-    starts = pq.offsets[:-1]
-    if spec.operator == "softor":
-        log_one_minus = -np.logaddexp(0.0, s)
-        seg_log = np.add.reduceat(log_one_minus, starts)
-        V = -np.expm1(seg_log)
-        product = np.exp(seg_log)
-        sig = expit(s)
-
-        def build(entity_coef: np.ndarray) -> np.ndarray:
-            return sig * (entity_coef * product)[pq.segments]
-
-        return V, build
-    if spec.operator == "softcutoff":
-        decay = np.asarray(spec.decay, dtype=float)
-        weights_ctx = np.empty_like(s)
-        for k in range(pq.n_entities):
-            seg = slice(pq.offsets[k], pq.offsets[k + 1])
-            weights_ctx[seg] = decay[rank_deciles(s[seg])]
-        V = np.add.reduceat(weights_ctx * s, starts)
-
-        def build(entity_coef: np.ndarray) -> np.ndarray:
-            return weights_ctx * entity_coef[pq.segments]
-
-        return V, build
-    value, deriv = transform_eval(spec.transform, s)
-    V = np.add.reduceat(value, starts)
-    scale = np.ones(pq.n_entities)
-    if spec.operator == "avg":
-        scale = 1.0 / counts
-        V = V * scale
-
-    def build(entity_coef: np.ndarray) -> np.ndarray:
-        return deriv * (entity_coef * scale)[pq.segments]
-
-    return V, build
+def _sampled_pairs(
+    prepared: Sequence[PreparedQuery], config: TrainConfig
+) -> Iterator[tuple[PreparedQuery, np.ndarray, np.ndarray]]:
+    """(pq, good_idx, bad_idx) for every trainable query whose pair sample
+    is not empty, in query-id order; the indices point into ``entity_ids``."""
+    for pq in sorted(prepared, key=lambda p: p.query_id):
+        if not pq.trainable:
+            continue
+        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
+        if gi.size == 0:
+            continue
+        yield pq, np.asarray(pq.good, dtype=int)[gi], np.asarray(pq.bad, dtype=int)[bi]
 
 
 def regularization(
@@ -361,16 +336,8 @@ def objective_and_gradient(
     w = np.asarray(weights, dtype=float)
     loss = 0.0
     grad = np.zeros_like(w)
-    for pq in sorted(prepared, key=lambda p: p.query_id):
-        if not pq.trainable:
-            continue
-        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
-        if gi.size == 0:
-            continue
-        s = pq.stack @ w
-        V, build_coef = _entity_values_and_context_coef(spec, s, pq)
-        good_idx = np.asarray(pq.good, dtype=int)[gi]
-        bad_idx = np.asarray(pq.bad, dtype=int)[bi]
+    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
+        V, build_coef = segment_aggregate(spec, pq.stack @ w, pq.offsets, pq.segments)
         margins = 1.0 + V[bad_idx] - V[good_idx]
         sh, sig = soft_hinge(margins)
         loss += float(np.sum(np.sort(sh))) / sh.shape[0]
@@ -478,14 +445,14 @@ def train_model(
     if not math.isfinite(objective):
         raise TrainingError(f"objective not finite at the initial point: {objective}")
     best_value, best_w = objective, w.copy()
-    eta = config.step_init
+    eta = STEP_INIT
     iterations = 0
     for iteration in range(1, config.max_iters + 1):
         step = eta
         accepted = False
         stationary = False
         saw_finite_trial = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = np.maximum(w - step * gradient, 0.0)
             if np.array_equal(trial, w):
                 # Projection pins every coordinate; smaller steps stay pinned.
@@ -497,12 +464,12 @@ def train_model(
             if math.isfinite(trial_value):
                 saw_finite_trial = True
                 decrease = float(gradient @ (trial - w))
-                if trial_value <= objective + config.armijo * decrease:
+                if trial_value <= objective + ARMIJO * decrease:
                     accepted = True
                     break
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
-            if not stationary and not saw_finite_trial and config.max_backtracks > 0:
+            if not stationary and not saw_finite_trial:
                 raise TrainingError(
                     f"objective diverged (non-finite) at iteration {iteration}, step {step:g}"
                 )
@@ -601,10 +568,7 @@ def _decile_profiles(model: Model, pq: PreparedQuery) -> np.ndarray:
     so the cutoff-weighted entity score is decay @ A."""
     s = pq.stack @ model.weights
     profiles = np.zeros((pq.n_entities, NUM_DECILES))
-    for k in range(pq.n_entities):
-        seg = slice(pq.offsets[k], pq.offsets[k + 1])
-        deciles = rank_deciles(s[seg])
-        np.add.at(profiles[k], deciles, s[seg])
+    np.add.at(profiles, (pq.segments, segment_deciles(s, pq.offsets)), s)
     return profiles
 
 
@@ -619,16 +583,8 @@ def cutoff_objective(
     decay[0]/ridge plus the mean true hinge over sampled pairs."""
     decay = np.asarray(decay, dtype=float)
     total = decay[0] / ridge
-    for pq in sorted(prepared, key=lambda p: p.query_id):
-        if not pq.trainable:
-            continue
-        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
-        if gi.size == 0:
-            continue
-        profiles = _decile_profiles(model, pq)
-        V = profiles @ decay
-        good_idx = np.asarray(pq.good, dtype=int)[gi]
-        bad_idx = np.asarray(pq.bad, dtype=int)[bi]
+    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
+        V = _decile_profiles(model, pq) @ decay
         margins = 1.0 + V[bad_idx] - V[good_idx]
         total += float(np.sum(np.maximum(margins, 0.0))) / margins.shape[0]
     return total
@@ -645,44 +601,32 @@ def train_soft_cutoff(
     Variables are the ten decay values and one slack per sampled pair;
     constraints enforce slack >= hinge margin, slack >= 0, and the decay
     chain D(0) >= D(1) >= ... >= 0.  The all-zero decay is always
-    feasible, so the program is never infeasible.
+    feasible, so the program is never infeasible.  The constraint matrix
+    is sparse, so memory grows linearly in the number of pairs.
     """
     config = config or TrainConfig()
     if ridge <= 0.0:
         raise TrainingError(f"cutoff ridge must be positive, got {ridge}")
-    pair_rows = []
+    diffs = []
     pair_weights = []
-    for pq in sorted(prepared, key=lambda p: p.query_id):
-        if not pq.trainable:
-            continue
-        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
-        if gi.size == 0:
-            continue
+    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
         profiles = _decile_profiles(model, pq)
-        good_idx = np.asarray(pq.good, dtype=int)[gi]
-        bad_idx = np.asarray(pq.bad, dtype=int)[bi]
-        for g, b in zip(good_idx, bad_idx):
-            pair_rows.append(profiles[b] - profiles[g])
-            pair_weights.append(1.0 / gi.shape[0])
-    if not pair_rows:
+        diffs.append(profiles[bad_idx] - profiles[good_idx])
+        pair_weights.append(np.full(good_idx.shape[0], 1.0 / good_idx.shape[0]))
+    if not diffs:
         raise TrainingError("no usable (good, bad) pairs for the cutoff program")
+    diff = np.vstack(diffs)
 
-    n_pairs = len(pair_rows)
-    n_vars = NUM_DECILES + n_pairs
-    cost = np.zeros(n_vars)
-    cost[0] = 1.0 / ridge
-    cost[NUM_DECILES:] = pair_weights
+    n_pairs = diff.shape[0]
+    cost = np.concatenate([[1.0 / ridge], np.zeros(NUM_DECILES - 1), *pair_weights])
 
-    # slack_p >= 1 + V(b) - V(g)  <=>  (A_b - A_g) @ D - slack_p <= -1
-    a_ub = np.zeros((n_pairs + NUM_DECILES - 1, n_vars))
-    b_ub = np.zeros(n_pairs + NUM_DECILES - 1)
-    for p, row in enumerate(pair_rows):
-        a_ub[p, :NUM_DECILES] = row
-        a_ub[p, NUM_DECILES + p] = -1.0
-        b_ub[p] = -1.0
-    for r in range(NUM_DECILES - 1):  # D(r+1) - D(r) <= 0
-        a_ub[n_pairs + r, r] = -1.0
-        a_ub[n_pairs + r, r + 1] = 1.0
+    # slack_p >= 1 + V(b) - V(g)  <=>  (A_b - A_g) @ D - slack_p <= -1,
+    # then the decay chain D(r+1) - D(r) <= 0.
+    chain = np.eye(NUM_DECILES - 1, NUM_DECILES, 1) - np.eye(NUM_DECILES - 1, NUM_DECILES)
+    a_ub = block_array(
+        [[csr_array(diff), -eye_array(n_pairs)], [csr_array(chain), None]], format="csc"
+    )
+    b_ub = np.concatenate([np.full(n_pairs, -1.0), np.zeros(NUM_DECILES - 1)])
 
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if not result.success:

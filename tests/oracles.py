@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
 
 # -- rank metrics --------------------------------------------------------------
@@ -180,6 +181,57 @@ def cutoff_objective_direct(decay, per_query, ridge: float) -> float:
             query_total += max(0.0, 1.0 + vb - vg)
         total += query_total / len(pairs)
     return total
+
+
+def decile_profile(scores) -> list[float]:
+    """One entity's per-decile score mass: contexts ranked by descending
+    score (ties by index), rank p falls in decile min(10 p // n, 9), and
+    each decile's scores are added in context order."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    decile = [0] * n
+    for rank, i in enumerate(order):
+        decile[i] = min((10 * rank) // n, 9)
+    profile = [0.0] * 10
+    for i in range(n):
+        profile[decile[i]] += scores[i]
+    return profile
+
+
+def cutoff_decay_dense(per_query, ridge: float) -> np.ndarray:
+    """Decile decay minimizing :func:`cutoff_objective_direct`, from a linear
+    program whose constraint matrix is dense and filled row by row.
+
+    Variables are the ten decay values, then one slack per pair (pairs in
+    ``per_query`` order); each pair's slack carries the weight 1/|pairs| of
+    its query.  The solution is snapped onto the non-negative,
+    non-increasing cone.
+    """
+    pair_rows = []
+    pair_weights = []
+    for profiles, pairs in per_query:
+        for g, b in pairs:
+            pair_rows.append([profiles[b][r] - profiles[g][r] for r in range(10)])
+            pair_weights.append(1.0 / len(pairs))
+    n_pairs = len(pair_rows)
+    n_vars = 10 + n_pairs
+    cost = np.zeros(n_vars)
+    cost[0] = 1.0 / ridge
+    cost[10:] = pair_weights
+    a_ub = np.zeros((n_pairs + 9, n_vars))
+    b_ub = np.zeros(n_pairs + 9)
+    for p, row in enumerate(pair_rows):
+        a_ub[p, :10] = row
+        a_ub[p, 10 + p] = -1.0
+        b_ub[p] = -1.0
+    for r in range(9):
+        a_ub[n_pairs + r, r] = -1.0
+        a_ub[n_pairs + r, r + 1] = 1.0
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+    if not result.success:
+        raise RuntimeError(f"dense cutoff program failed: {result.message}")
+    decay = np.asarray(result.x[:10], dtype=float)
+    return np.minimum.accumulate(np.maximum(decay, 0.0))
 
 
 # -- Student t tail probability --------------------------------------------------

@@ -17,6 +17,7 @@ from proxrank.aggregators import (
     petkova_score,
     positional_term_distribution,
     rank_deciles,
+    segment_deciles,
     transform_eval,
     transform_value,
     voting_aggregates,
@@ -103,6 +104,18 @@ class TestRankDeciles:
         deciles = rank_deciles(-np.arange(25, dtype=float))
         assert deciles.min() == 0
         assert deciles.max() == 9
+
+    def test_segment_deciles_match_per_segment_rank_deciles(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            counts = rng.integers(1, 25, size=int(rng.integers(1, 8)))
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            # few distinct values, so most segments contain ties
+            s = rng.integers(-2, 3, size=offsets[-1]).astype(float)
+            want = np.concatenate(
+                [rank_deciles(s[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+            )
+            assert segment_deciles(s, offsets).tolist() == want.tolist()
 
 
 class TestAggregateScore:

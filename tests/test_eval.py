@@ -318,3 +318,11 @@ class TestRunFiles:
             fh.write("q Q0 e 1\n")
         with pytest.raises(EvalError, match="6 fields"):
             read_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = str(tmp_path / "run.txt")
+        with open(path, "w") as fh:
+            fh.write(f"q Q0 a 1 1.0 t\nq Q0 b 2 {score} t\n")
+        with pytest.raises(EvalError, match=r"run\.txt:2: .*not finite"):
+            read_run(path)

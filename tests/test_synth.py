@@ -139,3 +139,10 @@ class TestValidation:
             SynthParams(max_distance=30, window=30)
         with pytest.raises(SynthError):
             SynthParams(base_contexts=0)
+
+    def test_full_filler_document_raises_instead_of_hanging(self):
+        # 3 queries x 3 terms each plant one term per filler document,
+        # 9 terms for 8 slots: the ninth finds the document full.
+        params = SynthParams(num_filler_docs=1, filler_len=8, num_queries=3)
+        with pytest.raises(SynthError, match="f000 has no free slot"):
+            generate_synthetic(params, seed=0)

@@ -450,6 +450,37 @@ class TestCutoff:
         zero = cutoff_objective(np.zeros(NUM_DECILES), model, prepared, 1.0, config)
         assert zero == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("pair_cap", [10_000, 3])
+    def test_decay_matches_dense_oracle_bit_for_bit(self, pair_cap):
+        rng = np.random.default_rng(59 + pair_cap)
+        config = default_config(pair_cap=pair_cap)
+        subsampled = 0
+        for trial in range(24):
+            prepared = [
+                random_prepared(
+                    rng, query_id=f"q{k}", n_entities=int(rng.integers(2, 9)), dimension=5,
+                    max_contexts=25,
+                )
+                for k in range(int(rng.integers(1, 4)))
+            ]
+            model = Model(rng.random(5), AggregatorSpec.from_name("sum"), None)
+            ridge = (0.5, 1.0, 10.0)[trial % 3]
+            per_query = []
+            for pq in sorted(prepared, key=lambda p: p.query_id):
+                s = pq.stack @ model.weights
+                profiles = [
+                    oracles.decile_profile(list(s[a:b]))
+                    for a, b in zip(pq.offsets[:-1], pq.offsets[1:])
+                ]
+                gi, bi = pair_sample(len(pq.good), len(pq.bad), pair_cap, 0, pq.query_id)
+                pairs = [(pq.good[g], pq.bad[b]) for g, b in zip(gi, bi)]
+                subsampled += len(pairs) < len(pq.good) * len(pq.bad)
+                per_query.append((profiles, pairs))
+            want = oracles.cutoff_decay_dense(per_query, ridge)
+            got = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
+            assert got.tobytes() == want.tobytes()
+        assert (subsampled > 0) == (pair_cap == 3)
+
     def test_needs_pairs(self):
         model = Model(np.ones(2), AggregatorSpec.from_name("sum"), None)
         pq = PreparedQuery.from_matrices("q", ["a"], [np.ones((1, 2))], judged_good=["a"])
