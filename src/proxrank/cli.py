@@ -135,48 +135,27 @@ def baseline_ranker(
     kernel_width: float = 25.0,
 ) -> Callable[[QueryCandidates], Ranking]:
     """Ranker over raw candidate sets for the untrained reference systems."""
-    if name == "count":
-        model = count_model()
+    count = count_model()
+    scorers = {
+        "count": lambda query, contexts: aggregate_score(
+            count.spec,
+            count.weights,
+            context_matrix(index, query, contexts, count.layout, bm25),
+        ),
+        "balog2": lambda query, contexts: balog2_score(index, query, contexts, smoothing=lm_lambda),
+        "petkova": lambda query, contexts: petkova_score(
+            index, query, contexts, kernel_width=kernel_width, smoothing=lm_lambda
+        ),
+    }
+    if name not in scorers:
+        raise EvalError(f"unknown baseline {name!r} (expected one of {BASELINE_SYSTEMS})")
+    score = scorers[name]
 
-        def rank_count(qc: QueryCandidates) -> Ranking:
-            scores = {
-                eid: aggregate_score(
-                    model.spec,
-                    model.weights,
-                    context_matrix(index, qc.query, qc.support[eid], model.layout, bm25),
-                )
-                for eid in sorted(qc.support)
-            }
-            return rank_entities(qc.query_id, scores)
+    def rank(qc: QueryCandidates) -> Ranking:
+        scores = {eid: score(qc.query, qc.support[eid]) for eid in sorted(qc.support)}
+        return rank_entities(qc.query_id, scores)
 
-        return rank_count
-    if name == "balog2":
-
-        def rank_balog(qc: QueryCandidates) -> Ranking:
-            scores = {
-                eid: balog2_score(index, qc.query, qc.support[eid], smoothing=lm_lambda)
-                for eid in sorted(qc.support)
-            }
-            return rank_entities(qc.query_id, scores)
-
-        return rank_balog
-    if name == "petkova":
-
-        def rank_petkova(qc: QueryCandidates) -> Ranking:
-            scores = {
-                eid: petkova_score(
-                    index,
-                    qc.query,
-                    qc.support[eid],
-                    kernel_width=kernel_width,
-                    smoothing=lm_lambda,
-                )
-                for eid in sorted(qc.support)
-            }
-            return rank_entities(qc.query_id, scores)
-
-        return rank_petkova
-    raise EvalError(f"unknown baseline {name!r} (expected one of {BASELINE_SYSTEMS})")
+    return rank
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -34,10 +34,10 @@ __all__ = [
     "ingest_corpus",
     "load_corpus",
     "matched_idf_fraction",
+    "phrase_starts",
     "read_catalog",
     "read_qrels",
     "read_queries",
-    "term_occurrences",
     "write_corpus",
     "write_qrels",
     "write_queries",
@@ -182,6 +182,18 @@ class CorpusStats:
     def avg_doc_len(self) -> float:
         return self.collection_len / self.num_docs if self.num_docs else 0.0
 
+    def doc_frequency(self, tokens: Sequence[str]) -> int:
+        """Documents containing the token or phrase; a phrase must be cached."""
+        key = tuple(tokens)
+        if len(key) == 1:
+            return self.df.get(key[0], 0)
+        if key not in self.phrase_df:
+            raise CorpusError(
+                f"phrase {' '.join(key)!r} has no cached statistics; "
+                "resolve it through CorpusIndex.phrase_df first"
+            )
+        return self.phrase_df[key]
+
 
 @dataclass
 class Context:
@@ -249,13 +261,13 @@ class CorpusIndex:
     def phrase_df(self, tokens: Sequence[str]) -> int:
         """Document frequency of a consecutive token sequence, cached."""
         key = tuple(tokens)
-        if len(key) < 2:
-            return self.stats.df.get(key[0], 0) if key else 0
-        if key not in self.stats.phrase_df:
+        if not key:
+            return 0
+        if len(key) > 1 and key not in self.stats.phrase_df:
             self.stats.phrase_df[key] = sum(
                 1 for doc_id in self.postings.get(key[0], ()) if self.occurrences(doc_id, key)
             )
-        return self.stats.phrase_df[key]
+        return self.stats.doc_frequency(key)
 
     def warm_query(self, query: Query) -> None:
         """Ensure phrase statistics for every phrase term are cached."""
@@ -267,18 +279,12 @@ class CorpusIndex:
 
     def occurrences(self, doc_id: str, term_tokens: Sequence[str]) -> list[int]:
         """Start positions of the term (or phrase) in the document."""
-        key = tuple(term_tokens)
-        if not key:
+        if not term_tokens:
             return []
-        first = self.postings.get(key[0], {}).get(doc_id, [])
-        if len(key) == 1:
+        first = self.postings.get(term_tokens[0], {}).get(doc_id, [])
+        if len(term_tokens) == 1:  # a token's postings are its starts
             return list(first)
-        tokens = self.documents[doc_id].tokens
-        out = []
-        for p in first:
-            if p + len(key) <= len(tokens) and tuple(tokens[p : p + len(key)]) == key:
-                out.append(p)
-        return out
+        return phrase_starts(self.documents[doc_id].tokens, term_tokens, first)
 
     def docs_containing(self, term: QueryTerm) -> set[str]:
         key = term.tokens
@@ -402,41 +408,26 @@ def compute_idf(stats: CorpusStats, term_or_query: str | Query) -> float:
         raise CorpusError("IDF undefined for an empty corpus")
     if isinstance(term_or_query, Query):
         return float(sum(compute_idf(stats, t.text) for t in term_or_query.distinct_terms()))
-    tokens = tuple(term_or_query.split())
+    tokens = term_or_query.split()
     if not tokens:
         raise CorpusError("IDF of empty term")
-    if len(tokens) > 1:
-        if tokens not in stats.phrase_df:
-            raise CorpusError(
-                f"phrase {term_or_query!r} has no cached statistics; "
-                "resolve it through CorpusIndex.phrase_df first"
-            )
-        df = stats.phrase_df[tokens]
-    else:
-        df = stats.df.get(tokens[0], 0)
-    return stats.num_docs / max(df, 1)
+    return stats.num_docs / max(stats.doc_frequency(tokens), 1)
 
 
 # -- context extraction ------------------------------------------------
 
 
-def term_occurrences(document: Document, query: Query) -> dict[str, tuple[int, list[int]]]:
-    """Start positions of every distinct query term in the document.
+def phrase_starts(
+    tokens: Sequence[str], phrase: Sequence[str], candidates: Iterable[int]
+) -> list[int]:
+    """The candidate positions at which ``phrase`` starts in ``tokens``.
 
-    Returns term text -> (span length, sorted positions); terms that do
-    not occur map to an empty position list.
+    This is the one phrase scanner: retrieval passes the postings of the
+    phrase's first token as candidates, whole-sequence counts pass every
+    position.  A single token is a phrase of length one.
     """
-    out: dict[str, tuple[int, list[int]]] = {}
-    tokens = document.tokens
-    for term in query.distinct_terms():
-        key = term.tokens
-        positions = []
-        limit = len(tokens) - len(key) + 1
-        for p in range(max(limit, 0)):
-            if tuple(tokens[p : p + len(key)]) == key:
-                positions.append(p)
-        out[term.text] = (len(key), positions)
-    return out
+    key = tuple(phrase)
+    return [p for p in candidates if tuple(tokens[p : p + len(key)]) == key]
 
 
 def _span_distance(pos: int, length: int, start: int, end: int) -> int:
@@ -488,7 +479,12 @@ def extract_context(
         raise CorpusError(
             f"doc {document.doc_id!r}: mention [{mention.start}, {mention.end}) out of bounds"
         )
-    return _context_from_occurrences(document, mention, term_occurrences(document, query), window)
+    everywhere = range(len(document.tokens))
+    occurrences = {
+        t.text: (len(t.tokens), phrase_starts(document.tokens, t.tokens, everywhere))
+        for t in query.distinct_terms()
+    }
+    return _context_from_occurrences(document, mention, occurrences, window)
 
 
 def matched_idf_fraction(stats: CorpusStats, query: Query, context: Context) -> float:

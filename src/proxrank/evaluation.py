@@ -339,7 +339,12 @@ def read_run(path: str) -> list[Ranking]:
             scores = by_query.setdefault(qid, {})
             if eid in scores:
                 raise EvalError(f"{path}:{lineno}: duplicate entity {eid!r} for query {qid!r}")
-            value = float(score)
+            try:
+                value = float(score)
+            except ValueError:
+                raise EvalError(
+                    f"{path}:{lineno}: score {score!r} for {eid!r} is not a number"
+                ) from None
             if not math.isfinite(value):
                 raise EvalError(f"{path}:{lineno}: score {score!r} for {eid!r} is not finite")
             scores[eid] = value

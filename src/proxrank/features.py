@@ -1,4 +1,4 @@
-"""Per-context feature families producing sparse non-negative vectors.
+"""Per-context feature families producing non-negative feature rows.
 
 A feature layout fixes which families are active and how their cells map
 into one flat index space.  Families, in layout order:
@@ -17,8 +17,9 @@ into one flat index space.  Families, in layout order:
 * ``pad``       -- a constant 1.0, which lets sum-style aggregation see
                    plain evidence counts.
 
-Feature vectors are sparse maps index -> value with only finite,
-non-negative values; absent indices read as zero.
+:func:`context_matrix` builds the finite, non-negative rows of many contexts
+at once; :func:`build_feature_vector` and the per-family functions are
+sparse views (index -> value, absent means zero) of one context's row.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from proxrank.corpus import (
     Document,
     Query,
     compute_idf,
+    phrase_starts,
 )
 
 __all__ = [
@@ -70,6 +72,12 @@ class FeatureError(ValueError):
 class Bm25Params:
     k1: float = 1.2
     b: float = 0.75
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.k1) and self.k1 >= 0.0):
+            raise FeatureError(f"BM25 k1 must be finite and >= 0, got {self.k1}")
+        if not (0.0 <= self.b <= 1.0):
+            raise FeatureError(f"BM25 b must lie in [0, 1], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -196,27 +204,6 @@ class FeatureLayout:
 # -- whole-document scores ------------------------------------------------
 
 
-def _term_freq(tokens: Sequence[str], term_tokens: tuple[str, ...], counts: Counter) -> int:
-    if len(term_tokens) == 1:
-        return counts.get(term_tokens[0], 0)
-    hits = 0
-    for p in range(len(tokens) - len(term_tokens) + 1):
-        if tuple(tokens[p : p + len(term_tokens)]) == term_tokens:
-            hits += 1
-    return hits
-
-
-def _doc_frequency(stats: CorpusStats, term_tokens: tuple[str, ...]) -> int:
-    if len(term_tokens) == 1:
-        return stats.df.get(term_tokens[0], 0)
-    if term_tokens not in stats.phrase_df:
-        raise FeatureError(
-            f"phrase {' '.join(term_tokens)!r} has no cached statistics; "
-            "resolve it through CorpusIndex.phrase_df first"
-        )
-    return stats.phrase_df[term_tokens]
-
-
 def bm25_score(
     tokens: Sequence[str],
     query: Query,
@@ -239,10 +226,13 @@ def bm25_score(
     multiplicity = query.multiplicity()
     score = 0.0
     for term in query.distinct_terms():
-        tf = _term_freq(tokens, term.tokens, counts)
+        if term.is_phrase:
+            tf = len(phrase_starts(tokens, term.tokens, range(dl)))
+        else:
+            tf = counts[term.tokens[0]]
         if tf == 0:
             continue
-        df = _doc_frequency(stats, term.tokens)
+        df = stats.doc_frequency(term.tokens)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         norm = tf + params.k1 * (1.0 - params.b + params.b * dl / avg)
         score += multiplicity[term.text] * idf * tf * (params.k1 + 1.0) / norm
@@ -264,10 +254,10 @@ def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> flo
     multiplicity = query.multiplicity()
     query_weights: dict[tuple[str, ...], float] = {}
     for term in query.distinct_terms():
-        idf = stats.num_docs / max(_doc_frequency(stats, term.tokens), 1)
+        idf = compute_idf(stats, term.text)
         query_weights[term.tokens] = multiplicity[term.text] * idf
         if term.is_phrase:
-            tf = _term_freq(tokens, term.tokens, counts)
+            tf = len(phrase_starts(tokens, term.tokens, range(len(tokens))))
             if tf:
                 doc_weights[term.tokens] = tf * idf
     dot = sum(w * doc_weights.get(k, 0.0) for k, w in query_weights.items())
@@ -300,18 +290,66 @@ def document_scores(
     return out
 
 
+def _checked(rows: np.ndarray, query: Query, doc_ids: Sequence[str]) -> np.ndarray:
+    """``rows`` itself, once every value is known to be finite and >= 0."""
+    # A NaN makes the minimum NaN, so two reductions catch every bad value.
+    if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=0.0) < math.inf):
+        r, k = np.argwhere(~(np.isfinite(rows) & (rows >= 0.0)))[0]
+        raise FeatureError(
+            f"query {query.query_id!r}, document {doc_ids[r]!r}: "
+            f"feature {k} has invalid value {rows[r, k]!r}"
+        )
+    return rows
+
+
 # -- proximity families -----------------------------------------------------
 
 
-def _match_cells(
-    context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
-) -> list[tuple[int, int]]:
+def _proximity_rows(
+    contexts: Sequence[Context], query: Query, stats: CorpusStats, layout: FeatureLayout
+) -> np.ndarray:
+    """The idfupto, grid and rectangle columns of every context, as one
+    ``(len(contexts), layout.dimension)`` array; other columns are zero."""
+    n = len(contexts)
+    out = np.zeros((n, layout.dimension))
+    if n == 0 or not layout.needs_context:
+        return out
     total_idf = compute_idf(stats, query)
-    cells = []
-    for text, distance in context.matches.items():
-        fraction = compute_idf(stats, text) / total_idf
-        cells.append((layout.idf_bucket(fraction), layout.distance_bucket(distance)))
-    return cells
+    fraction: dict[str, float] = {}
+    cells: list[tuple[int, int, int]] = []
+    for c, ctx in enumerate(contexts):
+        for text, distance in ctx.matches.items():
+            if text not in fraction:
+                fraction[text] = compute_idf(stats, text) / total_idf
+            cells.append((c, layout.idf_bucket(fraction[text]), layout.distance_bucket(distance)))
+    grid = np.zeros((n, *layout.grid_shape))
+    np.add.at(grid, tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), 1.0)
+    # A rectangle cell counts the matches at least as rare and at least as
+    # close as itself: a suffix sum over both grid axes.
+    rectangle = grid[:, ::-1, ::-1].cumsum(axis=1).cumsum(axis=2)[:, ::-1, ::-1]
+    for family, block in (("grid", grid), ("rectangle", rectangle)):
+        if layout.has(family):
+            start = layout.family_offset(family)
+            out[:, start : start + layout.family_size(family)] = block.reshape(n, -1)
+    if layout.has("idfupto"):
+        # Python's sum in match order, so the shares add up as they always have.
+        start = layout.family_offset("idfupto")
+        for c, ctx in enumerate(contexts):
+            for b, bound in enumerate(layout.distance_boundaries):
+                out[c, start + b] = sum(fraction[t] for t, d in ctx.matches.items() if d <= bound)
+    return out
+
+
+def _sparse(values: np.ndarray, offset: int = 0) -> FeatureVector:
+    return {offset + int(k): float(values[k]) for k in np.flatnonzero(values)}
+
+
+def _family_view(
+    family: str, context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
+) -> FeatureVector:
+    start = layout.family_offset(family)
+    row = _proximity_rows([context], query, stats, layout)[0]
+    return _sparse(row[start : start + layout.family_size(family)], start)
 
 
 def idfupto_features(
@@ -323,29 +361,14 @@ def idfupto_features(
     distance <= L, so values are non-decreasing across boundaries and
     never exceed 1.
     """
-    offset = layout.family_offset("idfupto")
-    total_idf = compute_idf(stats, query)
-    out: FeatureVector = {}
-    for b, boundary in enumerate(layout.distance_boundaries):
-        value = sum(
-            compute_idf(stats, text) / total_idf
-            for text, distance in context.matches.items()
-            if distance <= boundary
-        )
-        if value:
-            out[offset + b] = value
-    return out
+    return _family_view("idfupto", context, query, stats, layout)
 
 
 def grid_features(
     context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
 ) -> FeatureVector:
     """Rarity-by-proximity histogram: one increment per matched term."""
-    out: FeatureVector = {}
-    for i, j in _match_cells(context, query, stats, layout):
-        idx = layout.cell_index("grid", i, j)
-        out[idx] = out.get(idx, 0.0) + 1.0
-    return out
+    return _family_view("grid", context, query, stats, layout)
 
 
 def rectangle_features(
@@ -353,13 +376,7 @@ def rectangle_features(
 ) -> FeatureVector:
     """Cumulative histogram: a match at (i, j) fires all cells (i', j')
     with i' <= i and j' <= j, one count each, additive across matches."""
-    out: FeatureVector = {}
-    for i, j in _match_cells(context, query, stats, layout):
-        for ii in range(i + 1):
-            for jj in range(j + 1):
-                idx = layout.cell_index("rectangle", ii, jj)
-                out[idx] = out.get(idx, 0.0) + 1.0
-    return out
+    return _family_view("rectangle", context, query, stats, layout)
 
 
 def build_feature_vector(
@@ -370,27 +387,17 @@ def build_feature_vector(
     layout: FeatureLayout,
     params: Bm25Params = Bm25Params(),
 ) -> FeatureVector:
-    """Assemble the full sparse vector for one context under the layout."""
+    """One context's row of :func:`context_matrix`, as a sparse vector."""
     if layout.needs_context and context is None:
         raise FeatureError("layout has proximity families but no context was given")
     if context is not None and context.doc_id != document.doc_id:
         raise FeatureError(
             f"context from doc {context.doc_id!r} paired with document {document.doc_id!r}"
         )
-    out = dict(document_scores(document, query, stats, layout, params))
+    row = to_dense(document_scores(document, query, stats, layout, params), layout.dimension)
     if context is not None:
-        if layout.has("idfupto"):
-            out.update(idfupto_features(context, query, stats, layout))
-        if layout.has("grid"):
-            out.update(grid_features(context, query, stats, layout))
-        if layout.has("rectangle"):
-            out.update(rectangle_features(context, query, stats, layout))
-    for idx, value in out.items():
-        if not (0 <= idx < layout.dimension):
-            raise FeatureError(f"feature index {idx} outside layout dimension {layout.dimension}")
-        if not math.isfinite(value) or value < 0.0:
-            raise FeatureError(f"feature {idx} has invalid value {value!r}")
-    return out
+        row += _proximity_rows([context], query, stats, layout)[0]
+    return _sparse(_checked(row[None], query, [document.doc_id])[0])
 
 
 def to_dense(vector: Mapping[int, float], dimension: int) -> np.ndarray:
@@ -411,20 +418,12 @@ def context_matrix(
 
     Whole-document scores are computed once per distinct document.
     """
-    doc_part: dict[str, FeatureVector] = {}
-    rows = []
-    for ctx in contexts:
-        document = index.documents[ctx.doc_id]
-        if ctx.doc_id not in doc_part:
-            doc_part[ctx.doc_id] = document_scores(document, query, index.stats, layout, params)
-        vector = dict(doc_part[ctx.doc_id])
-        if layout.has("idfupto"):
-            vector.update(idfupto_features(ctx, query, index.stats, layout))
-        if layout.has("grid"):
-            vector.update(grid_features(ctx, query, index.stats, layout))
-        if layout.has("rectangle"):
-            vector.update(rectangle_features(ctx, query, index.stats, layout))
-        rows.append(to_dense(vector, layout.dimension))
-    if not rows:
-        return np.zeros((0, layout.dimension), dtype=float)
-    return np.vstack(rows)
+    contexts = list(contexts)
+    rows = _proximity_rows(contexts, query, index.stats, layout)
+    doc_rows: dict[str, np.ndarray] = {}
+    for row, ctx in zip(rows, contexts):
+        if ctx.doc_id not in doc_rows:
+            scores = document_scores(index.documents[ctx.doc_id], query, index.stats, layout, params)
+            doc_rows[ctx.doc_id] = to_dense(scores, rows.shape[1])
+        row += doc_rows[ctx.doc_id]
+    return _checked(rows, query, [ctx.doc_id for ctx in contexts])

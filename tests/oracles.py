@@ -8,6 +8,8 @@ these run on small instances only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import quad
@@ -275,3 +277,169 @@ def gaussian_position_lm(tokens, center: int, width: float, terms) -> dict[str, 
     for term in terms:
         out[term] = sum(w for tok, w in zip(tokens, weights) if tok == term) / total
     return out
+
+
+# -- dict featurizer -----------------------------------------------------------
+#
+# The per-context sparse featurizer that the dense one replaced: one
+# dict of feature index -> value per context, filled family by family,
+# with phrases counted by a scan of every position and the IDF looked up
+# again for every match.  Only the layout's fields, the query's terms and
+# the corpus statistics are read from the package.
+
+_FAMILY_ORDER = ("noprox", "idfupto", "grid", "rectangle", "pad")
+
+
+def _family_offsets(layout) -> tuple[dict[str, int], int]:
+    rows = len(layout.idf_fraction_boundaries)
+    cols = len(layout.distance_boundaries)
+    sizes = {"noprox": 2, "idfupto": cols, "grid": rows * cols, "rectangle": rows * cols, "pad": 1}
+    offsets = {}
+    dimension = 0
+    for family in _FAMILY_ORDER:
+        if family in layout.families:
+            offsets[family] = dimension
+            dimension += sizes[family]
+    return offsets, dimension
+
+
+def _term_freq(tokens, term_tokens, counts) -> int:
+    if len(term_tokens) == 1:
+        return counts.get(term_tokens[0], 0)
+    hits = 0
+    for p in range(len(tokens) - len(term_tokens) + 1):
+        if tuple(tokens[p : p + len(term_tokens)]) == term_tokens:
+            hits += 1
+    return hits
+
+
+def _doc_frequency(stats, term_tokens) -> int:
+    if len(term_tokens) == 1:
+        return stats.df.get(term_tokens[0], 0)
+    return stats.phrase_df[term_tokens]
+
+
+def _idf(stats, text: str) -> float:
+    return stats.num_docs / max(_doc_frequency(stats, tuple(text.split())), 1)
+
+
+def _query_idf(stats, query) -> float:
+    return float(sum(_idf(stats, t.text) for t in query.distinct_terms()))
+
+
+def bm25_document(tokens, query, stats, k1: float = 1.2, b: float = 0.75) -> float:
+    """BM25 of a token sequence, phrase counts by scanning every position."""
+    if stats.num_docs == 0:
+        return 0.0
+    counts = Counter(tokens)
+    n = stats.num_docs
+    avg = (stats.collection_len / n) or 1.0
+    dl = len(tokens)
+    multiplicity = query.multiplicity()
+    score = 0.0
+    for term in query.distinct_terms():
+        tf = _term_freq(tokens, term.tokens, counts)
+        if tf == 0:
+            continue
+        df = _doc_frequency(stats, term.tokens)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        norm = tf + k1 * (1.0 - b + b * dl / avg)
+        score += multiplicity[term.text] * idf * tf * (k1 + 1.0) / norm
+    return score
+
+
+def cosine_document(tokens, query, stats) -> float:
+    """TF-IDF cosine over the sequence's unigrams plus the query phrases."""
+    if stats.num_docs == 0:
+        return 0.0
+    counts = Counter(tokens)
+    doc_weights = {}
+    for tok, tf in counts.items():
+        doc_weights[(tok,)] = tf * _idf(stats, tok)
+    multiplicity = query.multiplicity()
+    query_weights = {}
+    for term in query.distinct_terms():
+        idf = stats.num_docs / max(_doc_frequency(stats, term.tokens), 1)
+        query_weights[term.tokens] = multiplicity[term.text] * idf
+        if term.is_phrase:
+            tf = _term_freq(tokens, term.tokens, counts)
+            if tf:
+                doc_weights[term.tokens] = tf * idf
+    dot = sum(w * doc_weights.get(k, 0.0) for k, w in query_weights.items())
+    if dot == 0.0:
+        return 0.0
+    doc_norm = math.sqrt(sum(w * w for w in doc_weights.values()))
+    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
+    return dot / (doc_norm * query_norm)
+
+
+def _match_cells(context, query, stats, layout) -> list[tuple[int, int]]:
+    fracs = layout.idf_fraction_boundaries
+    bounds = layout.distance_boundaries
+    total_idf = _query_idf(stats, query)
+    cells = []
+    for text, distance in context.matches.items():
+        fraction = _idf(stats, text) / total_idf
+        i = min(bisect_left(fracs, min(fraction, 1.0)), len(fracs) - 1)
+        j = len(bounds) - 1 - min(bisect_left(bounds, distance), len(bounds) - 1)
+        cells.append((i, j))
+    return cells
+
+
+def feature_dict(document, context, query, stats, layout, k1=1.2, b=0.75) -> dict[int, float]:
+    """One context's sparse feature vector; ``context`` may be None for a
+    layout without proximity families."""
+    offsets, _ = _family_offsets(layout)
+    cols = len(layout.distance_boundaries)
+    out = {}
+    if "noprox" in offsets:
+        bm25_value = bm25_document(document.tokens, query, stats, k1, b)
+        cos = cosine_document(document.tokens, query, stats)
+        if bm25_value:
+            out[offsets["noprox"]] = bm25_value
+        if cos:
+            out[offsets["noprox"] + 1] = cos
+    if "pad" in offsets:
+        out[offsets["pad"]] = 1.0
+    if context is None:
+        return out
+    if "idfupto" in offsets:
+        total_idf = _query_idf(stats, query)
+        for k, boundary in enumerate(layout.distance_boundaries):
+            value = sum(
+                _idf(stats, text) / total_idf
+                for text, distance in context.matches.items()
+                if distance <= boundary
+            )
+            if value:
+                out[offsets["idfupto"] + k] = value
+    if "grid" in offsets:
+        for i, j in _match_cells(context, query, stats, layout):
+            idx = offsets["grid"] + i * cols + j
+            out[idx] = out.get(idx, 0.0) + 1.0
+    if "rectangle" in offsets:
+        for i, j in _match_cells(context, query, stats, layout):
+            for ii in range(i + 1):
+                for jj in range(j + 1):
+                    idx = offsets["rectangle"] + ii * cols + jj
+                    out[idx] = out.get(idx, 0.0) + 1.0
+    return out
+
+
+def feature_stack(index, query, contexts, layout, k1=1.2, b=0.75) -> np.ndarray:
+    """Rows of :func:`feature_dict`, densified one by one and stacked."""
+    _, dimension = _family_offsets(layout)
+    rows = []
+    for ctx in contexts:
+        vector = feature_dict(index.documents[ctx.doc_id], ctx, query, index.stats, layout, k1, b)
+        row = np.zeros(dimension)
+        for idx, value in vector.items():
+            row[idx] = value
+        rows.append(row)
+    return np.vstack(rows) if rows else np.zeros((0, dimension))
+
+
+def phrase_starts_brute(tokens, phrase) -> list[int]:
+    """Every position where the phrase starts, by comparing each window."""
+    n = len(phrase)
+    return [p for p in range(len(tokens) - n + 1) if list(tokens[p : p + n]) == list(phrase)]

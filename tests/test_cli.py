@@ -119,6 +119,24 @@ class TestTrainCommand:
         assert manifest["status"] == "failed"
         assert "error" in manifest
 
+    @pytest.mark.parametrize("flag, value", [("--k1", "nan"), ("--k1", "inf"), ("--b", "5")])
+    def test_bad_bm25_parameters_fail_at_featurize(self, synth_dir, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "bad-bm25")
+        code = main(
+            [
+                "train",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out,
+                flag, value,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "proxrank train: featurize: BM25" in err
+        assert manifest_of(out)["status"] == "failed"
+
 
 class TestRankCommand:
     def test_model_run(self, synth_dir, model_dir, tmp_path):

@@ -25,6 +25,7 @@ from proxrank.corpus import (
     ingest_corpus,
     load_corpus,
     matched_idf_fraction,
+    phrase_starts,
     read_qrels,
     read_queries,
     write_corpus,
@@ -32,6 +33,7 @@ from proxrank.corpus import (
     write_queries,
 )
 
+import oracles
 from util import tiny_corpus, documents_to_index
 
 
@@ -248,3 +250,31 @@ class TestHelpers:
         index = documents_to_index(documents)
         cand = find_candidates(index, query)
         assert cand.entity_ids() == ["dog", "fox"]
+
+
+class TestPhraseScanner:
+    @pytest.mark.parametrize(
+        "text, phrase",
+        [
+            ("a a a", "a a"),  # overlapping repeats both count
+            ("x a b y a b", "a b"),  # the last match ends at the last token
+            ("programming languages and a programming language", "programming language"),
+            ("b a c a a", "a"),
+            ("a b", "a b c"),  # longer than the sequence
+        ],
+    )
+    def test_matches_brute_force_scan(self, text, phrase):
+        tokens, key = tuple(text.split()), tuple(phrase.split())
+        expected = oracles.phrase_starts_brute(tokens, key)
+        assert phrase_starts(tokens, key, range(len(tokens))) == expected
+        index = documents_to_index([Document(doc_id="d", tokens=tokens)])
+        assert index.occurrences("d", key) == expected
+
+    def test_fixture_documents_match_brute_force_scan(self, fixture_index):
+        # d05 holds the near miss "programming languages".
+        keys = [("programming", "language"), ("programming",), ("python",), ("the", "python")]
+        for doc_id, doc in fixture_index.documents.items():
+            for key in keys:
+                expected = oracles.phrase_starts_brute(doc.tokens, key)
+                assert fixture_index.occurrences(doc_id, key) == expected, (doc_id, key)
+        assert fixture_index.occurrences("d05", ("programming", "language")) == []

@@ -319,6 +319,13 @@ class TestRunFiles:
         with pytest.raises(EvalError, match="6 fields"):
             read_run(path)
 
+    def test_non_numeric_score_rejected(self, tmp_path):
+        path = str(tmp_path / "run.txt")
+        with open(path, "w") as fh:
+            fh.write("q Q0 a 1 1.0 t\nq Q0 b 2 abc t\n")
+        with pytest.raises(EvalError, match=r"run\.txt:2: score 'abc' for 'b' is not a number"):
+            read_run(path)
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
     def test_non_finite_score_rejected(self, tmp_path, score):
         path = str(tmp_path / "run.txt")

@@ -11,8 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from proxrank.corpus import Query, QueryTerm, extract_context, find_candidates
+from proxrank import features
+from proxrank.corpus import (
+    BEST_PER_DOCUMENT,
+    PER_MENTION,
+    CorpusError,
+    Document,
+    Query,
+    QueryTerm,
+    RetrievalConfig,
+    compute_idf,
+    extract_context,
+    find_candidates,
+)
 from proxrank.features import (
+    FAMILY_ORDER,
     Bm25Params,
     FeatureError,
     FeatureLayout,
@@ -26,8 +39,10 @@ from proxrank.features import (
     rectangle_features,
     to_dense,
 )
+from proxrank.synth import SynthParams, generate_synthetic
 
 import oracles
+from util import documents_to_index
 
 SMALL = FeatureLayout(
     families=("noprox", "idfupto", "grid", "rectangle", "pad"),
@@ -261,3 +276,116 @@ class TestVectorAssembly:
         query = Query("q", [QueryTerm("python")])
         matrix = context_matrix(fixture_index, query, [], SMALL)
         assert matrix.shape == (0, SMALL.dimension)
+
+
+ORACLE_LAYOUTS = {
+    "all-small": SMALL,
+    "all-default": FeatureLayout(families=FAMILY_ORDER),
+    "default": FeatureLayout(),
+    "pad-only": FeatureLayout(families=("pad",)),
+}
+
+
+@pytest.fixture(scope="module")
+def synthetic_corpus():
+    params = SynthParams(
+        num_queries=4, terms_per_query=5, count_skew=0.5, rarity_skew=0.5, proximity_skew=0.5
+    )
+    documents, queries, _ = generate_synthetic(params, seed=7)
+    return documents_to_index(documents), queries
+
+
+class TestDenseRowsMatchDictOracle:
+    """``context_matrix`` against the per-context dict featurizer it
+    replaced, bit for bit, and ``build_feature_vector`` against its dicts."""
+
+    @staticmethod
+    def _check(index, queries, layout, granularity, params):
+        rows = 0
+        for query in queries:
+            cand = find_candidates(index, query, RetrievalConfig(granularity=granularity))
+            for eid, contexts in cand.support.items():
+                got = context_matrix(index, query, contexts, layout, params)
+                want = oracles.feature_stack(index, query, contexts, layout, params.k1, params.b)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (query.query_id, eid)
+                for ctx in contexts:
+                    doc = index.documents[ctx.doc_id]
+                    got_vector = build_feature_vector(doc, ctx, query, index.stats, layout, params)
+                    want_vector = oracles.feature_dict(
+                        doc, ctx, query, index.stats, layout, params.k1, params.b
+                    )
+                    assert got_vector == want_vector
+                rows += len(contexts)
+        assert rows > 0
+
+    @pytest.mark.parametrize("granularity", [PER_MENTION, BEST_PER_DOCUMENT])
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS.values(), ids=ORACLE_LAYOUTS.keys())
+    def test_fixture_queries(self, fixture_index, fixture_queries, layout, granularity):
+        # q2 is the phrase "programming language"; d05's "programming
+        # languages" must not count for it.
+        assert fixture_queries[1].terms[0].is_phrase
+        self._check(fixture_index, fixture_queries, layout, granularity, Bm25Params())
+
+    def test_whole_document_scores_on_every_fixture_document(self, fixture_index, fixture_queries):
+        # Includes documents no context comes from, such as d05 with its
+        # near miss "programming languages".
+        stats = fixture_index.stats
+        for query in fixture_queries:
+            fixture_index.warm_query(query)
+            for doc in fixture_index.documents.values():
+                assert bm25_score(doc.tokens, query, stats) == oracles.bm25_document(
+                    doc.tokens, query, stats
+                ), (query.query_id, doc.doc_id)
+                assert cosine_score(doc.tokens, query, stats) == oracles.cosine_document(
+                    doc.tokens, query, stats
+                ), (query.query_id, doc.doc_id)
+
+    @pytest.mark.parametrize("granularity", [PER_MENTION, BEST_PER_DOCUMENT])
+    @pytest.mark.parametrize("layout", ORACLE_LAYOUTS.values(), ids=ORACLE_LAYOUTS.keys())
+    def test_synthetic_corpus(self, synthetic_corpus, layout, granularity):
+        index, queries = synthetic_corpus
+        self._check(index, queries, layout, granularity, Bm25Params(k1=0.9, b=0.4))
+
+
+class TestBm25Params:
+    @pytest.mark.parametrize(
+        "k1, b",
+        [
+            (math.nan, 0.75), (math.inf, 0.75), (-0.1, 0.75),
+            (1.2, -0.1), (1.2, 5.0), (1.2, math.nan),
+        ],
+    )
+    def test_out_of_range_rejected(self, k1, b):
+        with pytest.raises(FeatureError, match="BM25"):
+            Bm25Params(k1=k1, b=b)
+
+    def test_range_edges_accepted(self):
+        assert Bm25Params(k1=0.0, b=0.0).b == 0.0
+        assert Bm25Params(k1=0.0, b=1.0).b == 1.0
+
+
+class TestStatisticsAndValidation:
+    def test_unwarmed_phrase_raises_from_every_idf_user(self):
+        index = documents_to_index([Document(doc_id="d", tokens=("a", "b", "c"))])
+        query = Query("q", [QueryTerm("a b")])
+        tokens = index.documents["d"].tokens
+        for call in (
+            lambda: compute_idf(index.stats, "a b"),
+            lambda: bm25_score(tokens, query, index.stats),
+            lambda: cosine_score(tokens, query, index.stats),
+        ):
+            with pytest.raises(CorpusError, match="no cached statistics"):
+                call()
+        index.warm_query(query)
+        assert bm25_score(tokens, query, index.stats) > 0.0
+
+    def test_invalid_document_score_names_query_and_document(self, fixture_index, monkeypatch):
+        query = Query("qnan", [QueryTerm("python")])
+        contexts = find_candidates(fixture_index, query).support["guido"]
+        monkeypatch.setattr(features, "document_scores", lambda *args: {0: math.nan})
+        with pytest.raises(FeatureError, match=r"'qnan'.*'d01'.*nan"):
+            context_matrix(fixture_index, query, contexts, SMALL)
+        doc = fixture_index.documents["d01"]
+        with pytest.raises(FeatureError, match=r"'qnan'.*'d01'.*nan"):
+            build_feature_vector(doc, contexts[0], query, fixture_index.stats, SMALL)
