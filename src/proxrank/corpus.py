@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -302,7 +303,8 @@ def ingest_corpus(
 
     ``records`` yields either parsed mappings or raw JSON lines of the form
     ``{"doc_id": ..., "tokens": [...], "mentions": [{"entity_id", "start",
-    "end"}, ...]}``.  Tokens are lowercased.  Malformed records, duplicate
+    "end"}, ...]}``.  Tokens are lowercased; an empty token or one holding
+    whitespace makes the record malformed.  Malformed records, duplicate
     doc_ids, and out-of-bounds mention spans are rejected with the
     offending record number.  Ingestion is idempotent: the same input
     always yields an identical index.
@@ -325,9 +327,18 @@ def ingest_corpus(
             raise CorpusError(f"record {lineno}: duplicate doc_id {doc.doc_id!r}")
         documents[doc.doc_id] = doc
         doc_len[doc.doc_id] = len(doc.tokens)
+        known = len(postings)
         for pos, tok in enumerate(doc.tokens):
             postings[tok].setdefault(doc.doc_id, []).append(pos)
             cf[tok] += 1
+        # Each distinct token is checked once, in the record that first holds it.
+        bad = [t for t in islice(reversed(postings), len(postings) - known) if t.split() != [t]]
+        if bad:
+            k = min(doc.tokens.index(t) for t in bad)
+            raise CorpusError(
+                f"record {lineno}: doc {doc.doc_id!r}: token {k} is empty or contains "
+                f"whitespace: {doc.tokens[k]!r}"
+            )
         for m in doc.mentions:
             entity_mentions[m.entity_id].append((doc.doc_id, m))
 

@@ -8,9 +8,9 @@ The objective over queries q with judged-good G and judged-bad B sets is
 where V is the aggregated entity score under the current weights.  The
 pair mean equals the 1/(|G||B|) normalization when all pairs are used;
 over-large pair grids are subsampled with a seeded substream.  Weights
-are constrained non-negative and optimized by projected gradient descent
-with a backtracking (Armijo) line search, which keeps the objective
-non-increasing across accepted steps.
+are constrained non-negative and optimized by L-BFGS-B (Byrd, Lu, Nocedal
+& Zhu 1995) with bounds w >= 0; the fitted model records why the solver
+stopped and how many points it evaluated.
 
 Grid-shaped weight blocks (grid, rectangle) are regularized by neighbor
 smoothness instead of the plain ridge, since their discretization is
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 from scipy.sparse import block_array, csr_array, eye_array
 from scipy.special import expit
 
@@ -72,13 +72,6 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "proxrank-model"
 
-# Backtracking line search: first step, shrink factor per backtrack,
-# Armijo sufficient-decrease fraction, and backtracks per iteration.
-STEP_INIT = 1.0
-BACKTRACK = 0.5
-ARMIJO = 1e-4
-MAX_BACKTRACKS = 40
-
 
 class TrainingError(RuntimeError):
     """Training cannot proceed or has diverged."""
@@ -89,16 +82,20 @@ class TrainConfig:
     ridge_width: float = 10.0        # lambda: larger means weaker regularization
     smooth_weight: float = 1.0       # multiplier on the grid-smoothness term
     init_weight: float = 0.01
-    max_iters: int = 200
-    tol: float = 1e-6                # relative objective change at convergence
+    max_iters: int = 200             # solver iteration cap (L-BFGS-B maxiter)
+    tol: float = 1e-6                # relative objective change at convergence (ftol)
     pair_cap: int = 10_000           # per-query ceiling on (good, bad) pairs
     folds: int = 5                   # inner folds for ridge-width selection
     seed: int = 0
     ridge_ladder: tuple[float, ...] | None = None  # enable CV ridge selection
 
     def __post_init__(self) -> None:
-        if self.ridge_width <= 0.0:
-            raise TrainingError(f"ridge width must be positive, got {self.ridge_width}")
+        if not (math.isfinite(self.ridge_width) and self.ridge_width > 0.0):
+            raise TrainingError(f"ridge_width must be finite and > 0, got {self.ridge_width}")
+        for name in ("smooth_weight", "tol", "init_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise TrainingError(f"{name} must be finite and >= 0, got {value}")
         if self.pair_cap < 1:
             raise TrainingError(f"pair cap must be >= 1, got {self.pair_cap}")
         if self.max_iters < 0:
@@ -385,6 +382,10 @@ class Model:
             decay=tuple(agg["decay"]) if agg.get("decay") is not None else None,
         )
         weights = np.asarray(data["weights"], dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+        if bad.size:
+            k = int(bad[0])
+            raise TrainingError(f"model weight {k} must be finite and >= 0, got {weights[k]}")
         if layout is not None and weights.shape[0] != layout.dimension:
             raise TrainingError(
                 f"model has {weights.shape[0]} weights but layout dimension is {layout.dimension}"
@@ -409,12 +410,15 @@ def train_model(
     layout: FeatureLayout | None,
     config: TrainConfig | None = None,
 ) -> Model:
-    """Fit non-negative aggregation weights by projected gradient descent.
+    """Fit non-negative aggregation weights with L-BFGS-B.
 
-    Runs a backtracking line search from a uniform small-positive start,
-    projects each trial onto w >= 0, tracks the best objective seen, and
-    stops on relative-change convergence, a failed line search, or the
-    iteration cap.  ``max_iters=0`` returns the initial model untouched.
+    Starts from a uniform small-positive point and minimizes the
+    objective under bounds w >= 0, stopping on a relative objective drop
+    below ``tol`` (the solver's ``ftol``), a small projected gradient, or
+    ``max_iters`` iterations.  ``meta`` records the solver's ``stop_reason``,
+    its iterations and its objective evaluations.  A non-finite objective
+    or gradient raises, naming the iteration.  ``max_iters=0`` returns
+    the initial point after one evaluation.
     """
     config = config or TrainConfig()
     if spec.transform == "indicator":
@@ -440,58 +444,46 @@ def train_model(
             ridge_ladder=None,
         )
 
-    w = np.full(dimension, config.init_weight, dtype=float)
-    objective, gradient = objective_and_gradient(w, usable, spec, config, layout)
-    if not math.isfinite(objective):
-        raise TrainingError(f"objective not finite at the initial point: {objective}")
-    best_value, best_w = objective, w.copy()
-    eta = STEP_INIT
-    iterations = 0
-    for iteration in range(1, config.max_iters + 1):
-        step = eta
-        accepted = False
-        stationary = False
-        saw_finite_trial = False
-        for _ in range(MAX_BACKTRACKS):
-            trial = np.maximum(w - step * gradient, 0.0)
-            if np.array_equal(trial, w):
-                # Projection pins every coordinate; smaller steps stay pinned.
-                stationary = True
-                break
-            trial_value, trial_gradient = objective_and_gradient(
-                trial, usable, spec, config, layout
+    iterations = evaluations = 0
+
+    def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evaluations
+        value, gradient = objective_and_gradient(w, usable, spec, config, layout)
+        evaluations += 1
+        if evaluations == 1 and not math.isfinite(value):
+            raise TrainingError(f"objective not finite at the initial point: {value}")
+        if not (math.isfinite(value) and np.all(np.isfinite(gradient))):
+            raise TrainingError(
+                f"objective diverged (non-finite value or gradient) at iteration {iterations + 1}"
             )
-            if math.isfinite(trial_value):
-                saw_finite_trial = True
-                decrease = float(gradient @ (trial - w))
-                if trial_value <= objective + ARMIJO * decrease:
-                    accepted = True
-                    break
-            step *= BACKTRACK
-        if not accepted:
-            if not stationary and not saw_finite_trial:
-                raise TrainingError(
-                    f"objective diverged (non-finite) at iteration {iteration}, step {step:g}"
-                )
-            break
-        relative_drop = (objective - trial_value) / max(abs(objective), 1e-12)
-        w, objective, gradient = trial, trial_value, trial_gradient
-        iterations = iteration
-        if objective < best_value:
-            best_value, best_w = objective, w.copy()
-        eta = min(step * 2.0, 1e6)
-        if relative_drop < config.tol:
-            break
+        return value, gradient
+
+    def count_iteration(_w: np.ndarray) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    w0 = np.full(dimension, config.init_weight, dtype=float)
+    if config.max_iters == 0:
+        weights, objective, stop_reason = w0, fun(w0)[0], "iteration cap is 0"
+    else:
+        result = minimize(
+            fun, w0, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * dimension,
+            callback=count_iteration, options={"maxiter": config.max_iters, "ftol": config.tol},
+        )
+        weights, objective, stop_reason = result.x, float(result.fun), str(result.message)
+        iterations = int(result.nit)
 
     meta = {
         "iterations": iterations,
-        "objective": best_value,
+        "evaluations": evaluations,
+        "objective": objective,
+        "stop_reason": stop_reason,
         "ridge_width": config.ridge_width,
         "smooth_weight": config.smooth_weight,
         "pair_cap": config.pair_cap,
         "seed": config.seed,
     }
-    return Model(weights=best_w, spec=spec, layout=layout, meta=meta)
+    return Model(weights=weights, spec=spec, layout=layout, meta=meta)
 
 
 def model_scores(model: Model, pq: PreparedQuery) -> dict[str, float]:

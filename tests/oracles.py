@@ -162,6 +162,69 @@ def fd_gradient(f, w: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
+# -- projected gradient descent ---------------------------------------------------
+
+# Backtracking line search: first step, shrink factor per backtrack,
+# Armijo sufficient-decrease fraction, and backtracks per iteration.
+STEP_INIT = 1.0
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
+
+
+def projected_gradient_descent(
+    fun, w0: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, float, int]:
+    """Minimize ``fun`` (returning value and gradient) over w >= 0 from ``w0``.
+
+    The package's former trainer: a backtracking (Armijo) line search,
+    each trial projected onto w >= 0, the best objective seen tracked,
+    and a stop on a relative drop below ``tol``, a failed line search, or
+    the iteration cap.  Returns (weights, objective, iterations).
+    """
+    w = np.asarray(w0, dtype=float)
+    objective, gradient = fun(w)
+    if not math.isfinite(objective):
+        raise RuntimeError(f"objective not finite at the initial point: {objective}")
+    best_value, best_w = objective, w.copy()
+    eta = STEP_INIT
+    iterations = 0
+    for iteration in range(1, max_iters + 1):
+        step = eta
+        accepted = False
+        stationary = False
+        saw_finite_trial = False
+        for _ in range(MAX_BACKTRACKS):
+            trial = np.maximum(w - step * gradient, 0.0)
+            if np.array_equal(trial, w):
+                # Projection pins every coordinate; smaller steps stay pinned.
+                stationary = True
+                break
+            trial_value, trial_gradient = fun(trial)
+            if math.isfinite(trial_value):
+                saw_finite_trial = True
+                decrease = float(gradient @ (trial - w))
+                if trial_value <= objective + ARMIJO * decrease:
+                    accepted = True
+                    break
+            step *= BACKTRACK
+        if not accepted:
+            if not stationary and not saw_finite_trial:
+                raise RuntimeError(
+                    f"objective diverged (non-finite) at iteration {iteration}, step {step:g}"
+                )
+            break
+        relative_drop = (objective - trial_value) / max(abs(objective), 1e-12)
+        w, objective, gradient = trial, trial_value, trial_gradient
+        iterations = iteration
+        if objective < best_value:
+            best_value, best_w = objective, w.copy()
+        eta = min(step * 2.0, 1e6)
+        if relative_drop < tol:
+            break
+    return best_w, best_value, iterations
+
+
 # -- cutoff program objective ---------------------------------------------------
 
 

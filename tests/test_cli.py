@@ -137,6 +137,31 @@ class TestTrainCommand:
         assert "proxrank train: featurize: BM25" in err
         assert manifest_of(out)["status"] == "failed"
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--smooth", "-1", "smooth_weight"),
+            ("--tol", "nan", "tol"),
+            ("--ridge", "nan", "ridge_width"),
+        ],
+    )
+    def test_bad_train_config_fails_at_train(self, synth_dir, tmp_path, capsys, flag, value, field):
+        out = str(tmp_path / "bad-config")
+        code = main(
+            [
+                "train",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+                flag, value,
+            ]
+        )
+        assert code == 1
+        assert f"proxrank train: train: {field} must be finite" in capsys.readouterr().err
+        assert manifest_of(out)["status"] == "failed"
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
 
 class TestRankCommand:
     def test_model_run(self, synth_dir, model_dir, tmp_path):
@@ -154,6 +179,27 @@ class TestRankCommand:
         rankings = read_run(os.path.join(out, "run.txt"))
         assert len(rankings) == 4
         assert all(r.items for r in rankings)
+
+    def test_non_finite_model_weight_fails_at_rank(self, synth_dir, model_dir, tmp_path, capsys):
+        with open(os.path.join(model_dir, "model.json")) as fh:
+            data = json.load(fh)
+        data["weights"][3] = float("nan")
+        model_path = str(tmp_path / "model.json")
+        with open(model_path, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "run")
+        code = main(
+            [
+                "rank",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--model", model_path,
+                "--out", out,
+            ]
+        )
+        assert code == 1
+        assert "proxrank rank: rank: model weight 3 must be finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "run.txt"))
 
     @pytest.mark.parametrize("baseline", ["count", "balog2", "petkova"])
     def test_baseline_runs(self, synth_dir, tmp_path, baseline):
@@ -273,7 +319,8 @@ class TestCompareCommand:
         out = str(tmp_path / "cmp")
         code = main(["compare", "--reports", *rep_dirs, "--out", out])
         assert code == 0
-        lines = open(os.path.join(out, "comparison.tsv")).read().splitlines()
+        with open(os.path.join(out, "comparison.tsv")) as fh:
+            lines = fh.read().splitlines()
         assert lines[0].startswith("system\t")
         assert {ln.split("\t")[0] for ln in lines[1:]} == {"count", "balog2"}
 

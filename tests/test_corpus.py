@@ -187,6 +187,15 @@ class TestIngestion:
         with pytest.raises(CorpusError, match="record 1"):
             ingest_corpus(records)
 
+    @pytest.mark.parametrize("bad", ["", "new york", "tab\there", " a"])
+    def test_empty_or_whitespace_token_rejected(self, bad):
+        records = [
+            {"doc_id": "d0", "tokens": ["a"], "mentions": []},
+            {"doc_id": "d1", "tokens": ["a", bad, "b"], "mentions": []},
+        ]
+        with pytest.raises(CorpusError, match=r"record 2: doc 'd1': token 1 "):
+            ingest_corpus(records)
+
     def test_empty_span_rejected(self):
         with pytest.raises(CorpusError):
             Mention("e", 2, 2)

@@ -245,7 +245,8 @@ class TestReportsOnDisk:
         report = make_report("s", [0.0, 1.0])
         path = str(tmp_path / "report.tsv")
         write_report(report, path)
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert lines[-1].split("\t")[1] == "ALL"
         assert float(lines[-1].split("\t")[2]) == 0.5
 
@@ -267,7 +268,8 @@ class TestReportsOnDisk:
         assert matrix[("baseline", "same")] == 1.0
         path = str(tmp_path / "comparison.tsv")
         write_comparison([baseline, better, same], path)
-        rows = {ln.split("\t")[0]: ln for ln in open(path).read().splitlines()[1:]}
+        with open(path) as fh:
+            rows = {ln.split("\t")[0]: ln for ln in fh.read().splitlines()[1:]}
         assert "*" in rows["better"]
         assert "*" not in rows["same"]
         assert "*" not in rows["baseline"]
@@ -294,7 +296,8 @@ class TestRunFiles:
         back = read_run(path)
         assert [r.query_id for r in back] == ["q0", "q1"]
         assert back[1].items == (("a", 2.0), ("b", 1.0))
-        first_line = open(path).read().splitlines()[0].split()
+        with open(path) as fh:
+            first_line = fh.read().splitlines()[0].split()
         assert first_line == ["q0", "Q0", "x", "1", "0.25", "demo"]
 
     def test_read_reranks_by_score(self, tmp_path):
