@@ -22,8 +22,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_retrieval_args(p)
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
-    p.set_defaults(func=cmd_rank)
+    # None marks a setting not given, so that rank --model can tell an
+    # explicit flag from the default; _rank_settings supplies the defaults.
+    p.set_defaults(func=cmd_rank, **dict.fromkeys(_RANK_SETTINGS))
 
     p = sub.add_parser("eval", help="score a run file against judgments")
     p.add_argument("--run", required=True)
@@ -485,6 +487,32 @@ def cmd_train(args: argparse.Namespace, stage: dict) -> list[str]:
     return ["model.json"]
 
 
+_RANK_SETTINGS = ("window", "granularity", "k1", "b")
+
+
+def _rank_settings(
+    args: argparse.Namespace, meta: Mapping | None = None
+) -> tuple[RetrievalConfig, Bm25Params]:
+    """Retrieval and BM25 settings for rank: the model's where its ``meta``
+    records them, else the flags, else the defaults.  A flag given
+    explicitly that disagrees with the model is an error."""
+    meta = meta or {}
+    kept = {"window": meta.get("window"), "granularity": meta.get("granularity")}
+    kept.update(meta.get("bm25", {}))
+    values = {**asdict(RetrievalConfig()), **asdict(Bm25Params())}
+    for name in _RANK_SETTINGS:
+        given, stored = getattr(args, name), kept.get(name)
+        if stored is not None:
+            stored = type(values[name])(stored)
+            if given is not None and given != stored:
+                raise ValueError(f"--{name} {given} differs from the model's {name} {stored}")
+        values[name] = next((v for v in (stored, given) if v is not None), values[name])
+    return (
+        RetrievalConfig(window=values["window"], granularity=values["granularity"]),
+        Bm25Params(k1=values["k1"], b=values["b"]),
+    )
+
+
 def cmd_rank(args: argparse.Namespace, stage: dict) -> list[str]:
     stage["name"] = "load-corpus"
     index = load_corpus(args.corpus, args.catalog)
@@ -493,17 +521,9 @@ def cmd_rank(args: argparse.Namespace, stage: dict) -> list[str]:
     stage["name"] = "rank"
     if args.model is not None:
         model = load_model(args.model)
-        meta = model.meta
-        retrieval = RetrievalConfig(
-            window=int(meta.get("window", args.window)),
-            granularity=meta.get("granularity", args.granularity),
-        )
-        bm25_meta = meta.get("bm25", {})
-        bm25 = Bm25Params(
-            k1=float(bm25_meta.get("k1", args.k1)), b=float(bm25_meta.get("b", args.b))
-        )
+        retrieval, bm25 = _rank_settings(args, model.meta)
         empty = Judgments()
-        if meta.get("system") == "macdonald":
+        if model.meta.get("system") == "macdonald":
             prepared = prepare_macdonald(index, queries, empty, retrieval, bm25)
         else:
             if model.layout is None:
@@ -511,12 +531,12 @@ def cmd_rank(args: argparse.Namespace, stage: dict) -> list[str]:
             prepared = prepare_queries(index, queries, empty, model.layout, retrieval, bm25)
         rankings = [rank_entities(pq.query_id, model_scores(model, pq)) for pq in prepared]
     else:
-        retrieval = _retrieval_from_args(args)
+        retrieval, bm25 = _rank_settings(args)
         candidates = collect_candidates(index, queries, retrieval)
         ranker = baseline_ranker(
             args.baseline,
             index,
-            bm25=Bm25Params(k1=args.k1, b=args.b),
+            bm25=bm25,
             lm_lambda=args.lm_lambda,
             kernel_width=args.kernel_width,
         )

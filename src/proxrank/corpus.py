@@ -10,7 +10,7 @@ the nearest edge of the mention span, floored at 1.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +29,7 @@ __all__ = [
     "Query",
     "QueryTerm",
     "RetrievalConfig",
+    "TermState",
     "compute_idf",
     "extract_context",
     "find_candidates",
@@ -163,13 +164,37 @@ class Judgments:
         return sorted(set(self.good) | set(self.bad))
 
 
+@dataclass(frozen=True)
+class TermState:
+    """The query-independent term statistics of one token sequence.
+
+    ``squares`` holds each distinct token's squared TF-IDF weight
+    (tf times :func:`compute_idf`, squared) in ``counts`` order and
+    ``sum_squares`` their sum, the squared unigram norm of whole-document
+    cosine.
+    """
+
+    tokens: tuple[str, ...]
+    counts: Counter[str]
+    squares: list[float]
+    sum_squares: float
+
+    @classmethod
+    def of(cls, tokens: Sequence[str], stats: "CorpusStats") -> "TermState":
+        counts = Counter(tokens)
+        weights = [tf * compute_idf(stats, tok) for tok, tf in counts.items()]
+        squares = [w * w for w in weights]
+        return cls(tuple(tokens), counts, squares, sum(squares))
+
+
 @dataclass
 class CorpusStats:
     """Collection-level term statistics.
 
     ``df``/``cf`` cover single tokens; phrase statistics are filled on
     demand by :meth:`CorpusIndex.phrase_df` and cached here, keyed by the
-    token tuple.
+    token tuple.  Per-document :class:`TermState` is filled on demand by
+    :meth:`term_state` and cached here, keyed by doc id.
     """
 
     num_docs: int
@@ -178,6 +203,7 @@ class CorpusStats:
     collection_len: int
     doc_len: dict[str, int]
     phrase_df: dict[tuple[str, ...], int] = field(default_factory=dict)
+    term_states: dict[str, TermState] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def avg_doc_len(self) -> float:
@@ -194,6 +220,17 @@ class CorpusStats:
                 "resolve it through CorpusIndex.phrase_df first"
             )
         return self.phrase_df[key]
+
+    def term_state(self, document: Document) -> TermState:
+        """The document's term state, built on first use and kept.
+
+        A kept state serves only the very token tuple it was built from,
+        so another document under the same id gets (and keeps) its own.
+        """
+        state = self.term_states.get(document.doc_id)
+        if state is None or state.tokens is not document.tokens:
+            state = self.term_states[document.doc_id] = TermState.of(document.tokens, self)
+        return state
 
 
 @dataclass
@@ -239,8 +276,11 @@ class RetrievalConfig:
 class CorpusIndex:
     """Positional inverted index over an ingested corpus.
 
-    Immutable after construction apart from the phrase-statistics cache,
-    so concurrent readers are safe.
+    Immutable after construction apart from two caches on ``stats``, both
+    filled on first use and never changed after: phrase statistics
+    (:meth:`phrase_df`) and per-document term state
+    (:meth:`CorpusStats.term_state`, built on a document's first
+    whole-document scoring, not at ingest).  Concurrent readers are safe.
     """
 
     def __init__(

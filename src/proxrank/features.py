@@ -20,6 +20,13 @@ into one flat index space.  Families, in layout order:
 :func:`context_matrix` builds the finite, non-negative rows of many contexts
 at once; :func:`build_feature_vector` and the per-family functions are
 sparse views (index -> value, absent means zero) of one context's row.
+
+The ``noprox`` scores of an indexed document read its query-independent
+term state (:class:`~proxrank.corpus.TermState`: token counts, squared
+unigram TF-IDF weights and their sum) from the index's statistics, which
+build it on the document's first whole-document scoring, not at ingest.
+:func:`bm25_score` and :func:`cosine_score` score any token sequence with
+the same per-term code.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from proxrank.corpus import (
     CorpusStats,
     Document,
     Query,
+    QueryTerm,
+    TermState,
     compute_idf,
     phrase_starts,
 )
@@ -115,8 +124,8 @@ class FeatureLayout:
         fracs = self.idf_fraction_boundaries
         if not fracs or any(b2 <= b1 for b1, b2 in zip(fracs, fracs[1:])):
             raise FeatureError("IDF fraction boundaries must be non-empty and strictly ascending")
-        if fracs[0] <= 0.0 or fracs[-1] > 1.0:
-            raise FeatureError("IDF fraction boundaries must lie in (0, 1]")
+        if not all(0.0 < b <= 1.0 for b in fracs):  # false for NaN
+            raise FeatureError(f"IDF fraction boundaries must lie in (0, 1], got {fracs}")
 
     # -- geometry --------------------------------------------------------
 
@@ -219,24 +228,7 @@ def bm25_score(
     """
     if stats.num_docs == 0:
         return 0.0
-    counts = Counter(tokens)
-    n = stats.num_docs
-    avg = stats.avg_doc_len or 1.0
-    dl = len(tokens)
-    multiplicity = query.multiplicity()
-    score = 0.0
-    for term in query.distinct_terms():
-        if term.is_phrase:
-            tf = len(phrase_starts(tokens, term.tokens, range(dl)))
-        else:
-            tf = counts[term.tokens[0]]
-        if tf == 0:
-            continue
-        df = stats.doc_frequency(term.tokens)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        norm = tf + params.k1 * (1.0 - params.b + params.b * dl / avg)
-        score += multiplicity[term.text] * idf * tf * (params.k1 + 1.0) / norm
-    return score
+    return _bm25(tokens, Counter(tokens), query, stats, params)
 
 
 def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> float:
@@ -247,23 +239,55 @@ def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> flo
     """
     if stats.num_docs == 0:
         return 0.0
-    counts = Counter(tokens)
-    doc_weights: dict[tuple[str, ...], float] = {}
-    for tok, tf in counts.items():
-        doc_weights[(tok,)] = tf * compute_idf(stats, tok)
+    return _cosine(TermState.of(tokens, stats), query, stats)
+
+
+def _term_frequency(term: QueryTerm, tokens: Sequence[str], counts: Mapping[str, int]) -> int:
+    if term.is_phrase:
+        return len(phrase_starts(tokens, term.tokens, range(len(tokens))))
+    return counts[term.tokens[0]]
+
+
+def _bm25(
+    tokens: Sequence[str],
+    counts: Mapping[str, int],
+    query: Query,
+    stats: CorpusStats,
+    params: Bm25Params,
+) -> float:
+    n = stats.num_docs
+    avg = stats.avg_doc_len or 1.0
+    dl = len(tokens)
+    multiplicity = query.multiplicity()
+    score = 0.0
+    for term in query.distinct_terms():
+        tf = _term_frequency(term, tokens, counts)
+        if tf == 0:
+            continue
+        df = stats.doc_frequency(term.tokens)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        norm = tf + params.k1 * (1.0 - params.b + params.b * dl / avg)
+        score += multiplicity[term.text] * idf * tf * (params.k1 + 1.0) / norm
+    return score
+
+
+def _cosine(state: TermState, query: Query, stats: CorpusStats) -> float:
     multiplicity = query.multiplicity()
     query_weights: dict[tuple[str, ...], float] = {}
+    doc_weights: dict[tuple[str, ...], float] = {}  # of the query's terms only
     for term in query.distinct_terms():
         idf = compute_idf(stats, term.text)
         query_weights[term.tokens] = multiplicity[term.text] * idf
-        if term.is_phrase:
-            tf = len(phrase_starts(tokens, term.tokens, range(len(tokens))))
-            if tf:
-                doc_weights[term.tokens] = tf * idf
+        tf = _term_frequency(term, state.tokens, state.counts)
+        if tf:
+            doc_weights[term.tokens] = tf * idf
     dot = sum(w * doc_weights.get(k, 0.0) for k, w in query_weights.items())
     if dot == 0.0:
         return 0.0
-    doc_norm = math.sqrt(sum(w * w for w in doc_weights.values()))
+    # The document norm adds the matched phrases after the unigrams, in one
+    # sum, so its bits do not depend on whether the state was cached.
+    phrases = [w * w for k, w in doc_weights.items() if len(k) > 1]
+    doc_norm = math.sqrt(sum(state.squares + phrases) if phrases else state.sum_squares)
     query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
     return dot / (doc_norm * query_norm)
 
@@ -275,12 +299,17 @@ def document_scores(
     layout: FeatureLayout,
     params: Bm25Params = Bm25Params(),
 ) -> FeatureVector:
-    """Whole-document features: BM25 and cosine (noprox) plus the pad."""
+    """Whole-document features: BM25 and cosine (noprox) plus the pad.
+
+    Both scores read the document's term state from ``stats``, which
+    builds it on the first call for that document.
+    """
     out: FeatureVector = {}
-    if layout.has("noprox"):
+    if layout.has("noprox") and stats.num_docs:
         offset = layout.family_offset("noprox")
-        bm25 = bm25_score(document.tokens, query, stats, params)
-        cos = cosine_score(document.tokens, query, stats)
+        state = stats.term_state(document)
+        bm25 = _bm25(state.tokens, state.counts, query, stats, params)
+        cos = _cosine(state, query, stats)
         if bm25:
             out[offset] = bm25
         if cos:

@@ -83,7 +83,7 @@ class TrainConfig:
     smooth_weight: float = 1.0       # multiplier on the grid-smoothness term
     init_weight: float = 0.01
     max_iters: int = 200             # solver iteration cap (L-BFGS-B maxiter)
-    tol: float = 1e-6                # relative objective change at convergence (ftol)
+    tol: float = 1e-6                # objective drop at convergence (ftol), relative to max(|f|, 1)
     pair_cap: int = 10_000           # per-query ceiling on (good, bad) pairs
     folds: int = 5                   # inner folds for ridge-width selection
     seed: int = 0
@@ -416,7 +416,10 @@ def train_model(
     objective under bounds w >= 0, stopping on a relative objective drop
     below ``tol`` (the solver's ``ftol``), a small projected gradient, or
     ``max_iters`` iterations.  ``meta`` records the solver's ``stop_reason``,
-    its iterations and its objective evaluations.  A non-finite objective
+    its iterations, its objective evaluations, and how far from stationary
+    it stopped: ``projected_gradient_norm``, the infinity norm of the
+    gradient projected onto the bounds at the returned weights, taken from
+    the solver's last gradient at no extra evaluation.  A non-finite objective
     or gradient raises, naming the iteration.  ``max_iters=0`` returns
     the initial point after one evaluation.
     """
@@ -464,19 +467,24 @@ def train_model(
 
     w0 = np.full(dimension, config.init_weight, dtype=float)
     if config.max_iters == 0:
-        weights, objective, stop_reason = w0, fun(w0)[0], "iteration cap is 0"
+        objective, gradient = fun(w0)
+        weights, stop_reason = w0, "iteration cap is 0"
     else:
         result = minimize(
             fun, w0, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * dimension,
             callback=count_iteration, options={"maxiter": config.max_iters, "ftol": config.tol},
         )
         weights, objective, stop_reason = result.x, float(result.fun), str(result.message)
-        iterations = int(result.nit)
+        gradient, iterations = result.jac, int(result.nit)
+    # The bound w >= 0 blocks a positive gradient component only up to w:
+    # the infinity norm of the projected gradient, as L-BFGS-B measures it.
+    projected = np.where(gradient < 0.0, gradient, np.minimum(weights, gradient))
 
     meta = {
         "iterations": iterations,
         "evaluations": evaluations,
         "objective": objective,
+        "projected_gradient_norm": float(np.max(np.abs(projected))),
         "stop_reason": stop_reason,
         "ridge_width": config.ridge_width,
         "smooth_weight": config.smooth_weight,

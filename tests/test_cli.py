@@ -162,6 +162,22 @@ class TestTrainCommand:
         assert manifest_of(out)["status"] == "failed"
         assert not os.path.exists(os.path.join(out, "model.json"))
 
+    def test_nan_idf_boundary_fails_at_featurize(self, synth_dir, tmp_path, capsys):
+        out = str(tmp_path / "bad-layout")
+        code = main(
+            [
+                "train",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--idf-boundaries", "nan,1.0",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "proxrank train: featurize: IDF fraction boundaries must lie in (0, 1]" in err
+        assert manifest_of(out)["status"] == "failed"
+
 
 class TestRankCommand:
     def test_model_run(self, synth_dir, model_dir, tmp_path):
@@ -336,3 +352,64 @@ class TestUsage:
     def test_version_exits_cleanly(self, capsys):
         assert main(["--version"]) == 0
         assert "proxrank" in capsys.readouterr().out
+
+
+def _rank(synth_dir, out, *flags):
+    return main(
+        [
+            "rank",
+            "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+            "--queries", os.path.join(synth_dir, "queries.jsonl"),
+            "--out", out,
+            *flags,
+        ]
+    )
+
+
+def _run_bytes(out):
+    with open(os.path.join(out, "run.txt"), "rb") as fh:
+        return fh.read()
+
+
+class TestRankSettings:
+    """rank --model takes retrieval and BM25 settings from the model; an
+    explicit flag must agree with it.  The model was trained with
+    --window 30 and the defaults for the rest."""
+
+    @pytest.mark.parametrize(
+        "flag, value, stored",
+        [
+            ("--window", "20", "30"),
+            ("--granularity", "best-per-document", "per-mention"),
+            ("--k1", "2.0", "1.2"),
+            ("--b", "0.5", "0.75"),
+        ],
+    )
+    def test_conflicting_flag_fails_naming_both_values(
+        self, synth_dir, model_dir, tmp_path, capsys, flag, value, stored
+    ):
+        out = str(tmp_path / "run")
+        model = os.path.join(model_dir, "model.json")
+        assert _rank(synth_dir, out, "--model", model, flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"proxrank rank: rank: {flag} {value} differs from the model's" in err
+        assert err.rstrip().endswith(f"{flag[2:]} {stored}")
+        assert manifest_of(out)["status"] == "failed"
+        assert not os.path.exists(os.path.join(out, "run.txt"))
+
+    def test_agreeing_flags_change_nothing(self, synth_dir, model_dir, tmp_path):
+        model = os.path.join(model_dir, "model.json")
+        plain, flagged = str(tmp_path / "plain"), str(tmp_path / "flagged")
+        assert _rank(synth_dir, plain, "--model", model) == 0
+        explicit = ["--window", "30", "--granularity", "per-mention", "--k1", "1.2", "--b", "0.75"]
+        assert _rank(synth_dir, flagged, "--model", model, *explicit) == 0
+        assert _run_bytes(plain) == _run_bytes(flagged)
+
+    def test_baseline_still_follows_the_flags(self, synth_dir, tmp_path):
+        default, explicit, narrow = (str(tmp_path / n) for n in ("default", "explicit", "narrow"))
+        assert _rank(synth_dir, default, "--baseline", "balog2") == 0
+        defaults = ["--window", "50", "--granularity", "per-mention", "--k1", "1.2", "--b", "0.75"]
+        assert _rank(synth_dir, explicit, "--baseline", "balog2", *defaults) == 0
+        assert _rank(synth_dir, narrow, "--baseline", "balog2", "--window", "5") == 0
+        assert _run_bytes(default) == _run_bytes(explicit)
+        assert _run_bytes(default) != _run_bytes(narrow)

@@ -7,6 +7,7 @@ splits {0.25, 0.5, 0.75, 1.0} a matched-IDF share of 0.35 falls in band
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from proxrank.corpus import (
     compute_idf,
     extract_context,
     find_candidates,
+    load_corpus,
 )
 from proxrank.features import (
     FAMILY_ORDER,
@@ -389,3 +391,145 @@ class TestStatisticsAndValidation:
         doc = fixture_index.documents["d01"]
         with pytest.raises(FeatureError, match=r"'qnan'.*'d01'.*nan"):
             build_feature_vector(doc, contexts[0], query, fixture_index.stats, SMALL)
+
+
+class TestIdfBoundaryValues:
+    @pytest.mark.parametrize(
+        "fracs",
+        [(math.nan, 1.0), (0.5, math.nan), (math.nan,), (0.0, 1.0), (0.5, math.inf)],
+    )
+    def test_nan_or_out_of_range_boundary_rejected(self, fracs):
+        # Every comparison with NaN is false, so (nan, 1.0) passed the
+        # ascending and range checks and sent every match to bucket 0.
+        with pytest.raises(FeatureError, match=r"IDF fraction boundaries must lie in \(0, 1\]"):
+            FeatureLayout(idf_fraction_boundaries=fracs)
+
+    def test_from_dict_rejects_nan_boundary(self):
+        data = FeatureLayout().to_dict()
+        data["idf_fraction_boundaries"][0] = math.nan
+        with pytest.raises(FeatureError, match="IDF fraction"):
+            FeatureLayout.from_dict(data)
+
+
+TRAIN_RANK_LAYOUT = FeatureLayout(families=("noprox", "rectangle", "pad"))
+
+
+class TestDocumentTermState:
+    """Each document's query-independent term state is built on its first
+    whole-document scoring and read back afterwards; every score is
+    compared bit for bit with the oracle, which recounts everything."""
+
+    @staticmethod
+    def _fresh_index(data_dir):
+        return load_corpus(
+            os.path.join(data_dir, "fixture_corpus.jsonl"),
+            os.path.join(data_dir, "fixture_catalog.jsonl"),
+        )
+
+    @staticmethod
+    def _assert_matches_oracle(index, query, contexts, layout, params=Bm25Params()):
+        got = context_matrix(index, query, contexts, layout, params)
+        want = oracles.feature_stack(index, query, contexts, layout, params.k1, params.b)
+        assert got.tobytes() == want.tobytes(), (query.query_id, contexts[0].entity_id)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+    def test_state_built_for_one_query_serves_the_next(self, data_dir, fixture_queries, order):
+        index = self._fresh_index(data_dir)
+        kept = {}
+        reused = set()
+        for k in order:
+            query = fixture_queries[k]
+            for contexts in find_candidates(index, query).support.values():
+                self._assert_matches_oracle(index, query, contexts, TRAIN_RANK_LAYOUT)
+                reused |= {ctx.doc_id for ctx in contexts} & set(kept)
+            for doc_id, state in kept.items():
+                assert index.stats.term_states[doc_id] is state
+            kept.update(index.stats.term_states)
+        assert reused  # some document was scored for two queries
+
+    def test_phrase_query_through_the_cached_state(self, data_dir, fixture_queries):
+        index = self._fresh_index(data_dir)
+        query = fixture_queries[1]
+        assert query.terms[0].is_phrase  # "programming language"
+        index.warm_query(query)
+        offset = TRAIN_RANK_LAYOUT.family_offset("noprox")
+        matched = 0
+        for doc in index.documents.values():
+            bm25 = oracles.bm25_document(doc.tokens, query, index.stats)
+            cos = oracles.cosine_document(doc.tokens, query, index.stats)
+            for _ in range(2):  # builds the state, then reads it
+                got = document_scores(doc, query, index.stats, TRAIN_RANK_LAYOUT)
+                assert got.get(offset, 0.0) == bm25, doc.doc_id
+                assert got.get(offset + 1, 0.0) == cos, doc.doc_id
+            assert index.stats.term_states[doc.doc_id].tokens is doc.tokens
+            matched += bool(oracles.phrase_starts_brute(doc.tokens, query.terms[0].tokens))
+        assert matched
+
+    def test_several_phrases_add_to_the_cached_unigram_norm_in_order(self):
+        # With two or more matched phrases, adding them to the cached total
+        # rounds differently from one sum over unigrams then phrases.
+        rng = np.random.default_rng(5)
+        vocab = ("a", "b", "c", "d", "e", "f")
+        documents = [
+            Document(doc_id=f"d{k}", tokens=tuple(rng.choice(vocab, int(rng.integers(20, 60)))))
+            for k in range(40)
+        ]
+        index = documents_to_index(documents)
+        query = Query("q", [QueryTerm("a b"), QueryTerm("c d"), QueryTerm("e f a"), QueryTerm("b")])
+        index.warm_query(query)
+        offset = TRAIN_RANK_LAYOUT.family_offset("noprox")
+        for doc in index.documents.values():
+            cos = oracles.cosine_document(doc.tokens, query, index.stats)
+            for _ in range(2):
+                got = document_scores(doc, query, index.stats, TRAIN_RANK_LAYOUT)
+                assert got.get(offset + 1, 0.0) == cos, doc.doc_id
+
+    def test_other_document_under_an_indexed_id_gets_its_own_state(
+        self, data_dir, fixture_queries
+    ):
+        index = self._fresh_index(data_dir)
+        query = fixture_queries[0]
+        indexed = index.documents["d01"]
+        other = Document(doc_id="d01", tokens=("python", "was", "created", "python"))
+        want = {
+            id(doc): (
+                oracles.bm25_document(doc.tokens, query, index.stats),
+                oracles.cosine_document(doc.tokens, query, index.stats),
+            )
+            for doc in (indexed, other)
+        }
+        assert want[id(indexed)] != want[id(other)]
+        offset = TRAIN_RANK_LAYOUT.family_offset("noprox")
+        for doc in (indexed, other, indexed, other, other, indexed):
+            got = document_scores(doc, query, index.stats, TRAIN_RANK_LAYOUT)
+            assert (got.get(offset, 0.0), got.get(offset + 1, 0.0)) == want[id(doc)]
+
+    def test_nothing_built_at_ingest_or_for_layouts_without_noprox(
+        self, data_dir, fixture_queries
+    ):
+        index = self._fresh_index(data_dir)
+        assert index.stats.term_states == {}
+        for layout in (FeatureLayout(families=("pad",)), FeatureLayout(families=("grid",))):
+            for query in fixture_queries:
+                for contexts in find_candidates(index, query).support.values():
+                    self._assert_matches_oracle(index, query, contexts, layout)
+        assert index.stats.term_states == {}
+        query = fixture_queries[0]
+        contexts = find_candidates(index, query).support["guido"]
+        context_matrix(index, query, contexts, TRAIN_RANK_LAYOUT)
+        assert set(index.stats.term_states) == {ctx.doc_id for ctx in contexts}
+
+    def test_train_rank_shaped_corpus(self):
+        # The benchmark's train-rank generator settings, with fewer queries
+        # and documents: long filler documents and 16 judged entities.
+        params = SynthParams(
+            num_queries=4, num_docs=8, num_filler_docs=12, filler_len=384,
+            num_good=8, num_bad=8, count_skew=0.1, rarity_skew=0.1, proximity_skew=0.2,
+        )
+        documents, queries, _ = generate_synthetic(params, seed=101)
+        index = documents_to_index(documents)
+        retrieval = RetrievalConfig(window=30)
+        for query in queries:
+            for contexts in find_candidates(index, query, retrieval).support.values():
+                self._assert_matches_oracle(index, query, contexts, TRAIN_RANK_LAYOUT)
+        assert len(index.stats.term_states) > 1

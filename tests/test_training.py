@@ -7,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 from proxrank.aggregators import NUM_DECILES, AggregatorSpec, aggregate_score
-from proxrank.features import FeatureLayout
+from proxrank.features import FeatureError, FeatureLayout
 from proxrank.training import (
     CutoffModel,
     Model,
@@ -438,6 +438,32 @@ class TestTrainModel:
         )[0]
         assert isinstance(model.meta["stop_reason"], str)
 
+    @pytest.mark.parametrize("max_iters", [0, 3, 200])
+    def test_projected_gradient_norm_is_that_of_the_returned_weights(self, max_iters):
+        # Under w >= 0 a component counts in full where the gradient is
+        # negative, and up to w where it is positive.
+        rng = np.random.default_rng(47)
+        config = default_config(max_iters=max_iters)
+        stationary = 0
+        for name in ("sum", "avg", "softmax", "softcount", "softor"):
+            spec = AggregatorSpec.from_name(name)
+            for _ in range(4):
+                dim = int(rng.integers(2, 21))
+                prepared = [
+                    random_prepared(rng, query_id=f"q{k}", dimension=dim)
+                    for k in range(int(rng.integers(1, 4)))
+                ]
+                model = train_model(prepared, spec, None, config)
+                _, gradient = objective_and_gradient(model.weights, prepared, spec, config)
+                want = max(
+                    -g if g < 0.0 else min(w, g) for w, g in zip(model.weights, gradient)
+                )
+                assert model.meta["projected_gradient_norm"] == want
+                if "NORM OF PROJECTED GRADIENT" in model.meta["stop_reason"]:
+                    assert want <= 1e-5  # the solver's default pgtol
+                    stationary += 1
+        assert stationary > 0 or max_iters < 200
+
 
 class TestModelFiles:
     def test_round_trip_is_exact(self, tmp_path):
@@ -492,6 +518,13 @@ class TestModelFiles:
         data = model.to_dict()
         data["weights"][2] = bad
         with pytest.raises(TrainingError, match="weight 2"):
+            Model.from_dict(data)
+
+    def test_nan_idf_boundary_rejected(self):
+        layout = FeatureLayout()
+        data = Model(np.ones(layout.dimension), AggregatorSpec.from_name("sum"), layout).to_dict()
+        data["layout"]["idf_fraction_boundaries"][0] = math.nan
+        with pytest.raises(FeatureError, match="IDF fraction boundaries"):
             Model.from_dict(data)
 
     def test_weight_layout_mismatch_rejected(self, tmp_path):
