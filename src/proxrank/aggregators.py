@@ -16,8 +16,11 @@ with transform T in {identity, exp, log1p, indicator} and operator in:
 
 Familiar configurations: sum+exp is a soft maximum, sum+log1p a soft
 count, sum+indicator the plain support-set size (evaluation only, no
-derivative).  This module also hosts the rank-fusion aggregates and two
-language-model baselines used for comparison runs.
+derivative).  One row product (:func:`context_scores`) and one sorted
+segment kernel (:func:`segment_aggregate`) serve ranking, training, the
+cutoff profiles and the gradient, so a score's bits depend neither on the
+order nor on the stack position of an entity's contexts.  This module also
+hosts the rank-fusion aggregates and the language-model baselines.
 """
 
 from __future__ import annotations
@@ -43,14 +46,13 @@ __all__ = [
     "aggregate_gradient",
     "aggregate_score",
     "balog2_score",
+    "context_scores",
     "macdonald_features",
     "petkova_score",
     "positional_term_distribution",
-    "rank_deciles",
     "segment_aggregate",
     "segment_deciles",
     "transform_eval",
-    "transform_value",
     "voting_aggregates",
 ]
 
@@ -69,28 +71,18 @@ class TransformError(AggregationError):
     """Invalid transform evaluation (e.g. derivative of the indicator)."""
 
 
-def transform_value(transform: str, a):
-    """Evaluate T(a); scalar in, scalar out, array in, array out."""
-    arr = np.asarray(a, dtype=float)
-    if transform == "identity":
-        out = arr
-    elif transform == "exp":
-        out = np.exp(np.clip(arr, -EXP_CLAMP, EXP_CLAMP))
-    elif transform == "log1p":
-        if np.any(arr <= -1.0):
-            raise TransformError("log1p transform requires inputs > -1")
-        out = np.log1p(arr)
-    elif transform == "indicator":
-        out = (arr > 0.0).astype(float)
-    else:
-        raise TransformError(f"unknown transform {transform!r}")
-    return float(out) if np.ndim(a) == 0 else out
+def transform_eval(transform: str, a, derivative: bool = True):
+    """Evaluate (T(a), T'(a)); scalar in, scalars out, array in, arrays out.
 
-
-def transform_eval(transform: str, a):
-    """Evaluate (T(a), T'(a)).  The indicator has no derivative."""
+    The indicator is value-only: T' is None when ``derivative`` is false,
+    and a request for it raises.
+    """
     arr = np.asarray(a, dtype=float)
-    if transform == "identity":
+    if transform == "indicator":
+        if derivative:
+            raise TransformError("indicator transform is evaluation-only; it has no derivative")
+        value, deriv = (arr > 0.0).astype(float), None
+    elif transform == "identity":
         value, deriv = arr, np.ones_like(arr)
     elif transform == "exp":
         value = np.exp(np.clip(arr, -EXP_CLAMP, EXP_CLAMP))
@@ -99,12 +91,10 @@ def transform_eval(transform: str, a):
         if np.any(arr <= -1.0):
             raise TransformError("log1p transform requires inputs > -1")
         value, deriv = np.log1p(arr), 1.0 / (1.0 + arr)
-    elif transform == "indicator":
-        raise TransformError("indicator transform is evaluation-only; it has no derivative")
     else:
         raise TransformError(f"unknown transform {transform!r}")
     if np.ndim(a) == 0:
-        return float(value), float(deriv)
+        return float(value), None if deriv is None else float(deriv)
     return value, deriv
 
 
@@ -181,58 +171,48 @@ def _check_matrix(weights: np.ndarray, features: np.ndarray) -> tuple[np.ndarray
     return w, F
 
 
-def rank_deciles(scores: np.ndarray) -> np.ndarray:
-    """Decile of each context's rank position under descending raw score.
+def context_scores(weights, features) -> np.ndarray:
+    """Raw context scores s = F @ w, with bits that depend only on each row.
 
-    Position p (0-based, ties broken by original index) maps to
-    floor(10 p / n), clamped to [0, 9].  Returned per original index.
+    A BLAS matrix-vector product gives a row different bits depending on
+    where it sits in the block; ``np.vecdot`` over a C-contiguous matrix
+    does not (a Fortran-ordered one would, hence the copy).
     """
-    s = np.asarray(scores, dtype=float)
-    n = s.shape[0]
-    order = np.lexsort((np.arange(n), -s))
-    deciles = np.minimum((NUM_DECILES * np.arange(n)) // n, NUM_DECILES - 1)
-    out = np.empty(n, dtype=int)
-    out[order] = deciles
-    return out
+    return np.vecdot(np.ascontiguousarray(features, dtype=float), np.asarray(weights, dtype=float))
 
 
-def aggregate_score(spec: AggregatorSpec, weights, features) -> float:
-    """Entity score V(e) from the context feature matrix.
+def aggregate_score(spec: AggregatorSpec, weights, features, offsets=None):
+    """Entity scores V(e): :func:`context_scores`, then :func:`segment_aggregate`.
 
-    Per-context terms are summed in sorted order, so the result is
-    bit-identical under any permutation of the contexts.
+    With ``offsets`` omitted, ``features`` holds one entity's context rows
+    and V is a float; otherwise entity k's rows are
+    features[offsets[k]:offsets[k+1]] and V holds one score per entity.
     """
     w, F = _check_matrix(weights, features)
-    s = F @ w
-    if spec.operator == "softor":
-        # log(1 - sigmoid(s)) = -softplus(s); V = 1 - exp(sum)
-        log_one_minus = -np.logaddexp(0.0, s)
-        value = -np.expm1(np.sum(np.sort(log_one_minus)))
-        if value >= 1.0:  # exact value is < 1; clamp the rounded-up case
-            value = np.nextafter(1.0, 0.0)
-        return float(value)
-    if spec.operator == "softcutoff":
-        decay = np.asarray(spec.decay, dtype=float)
-        terms = decay[rank_deciles(s)] * s
-        return float(np.sum(np.sort(terms)))
-    values = transform_value(spec.transform, s)
-    total = float(np.sum(np.sort(values)))
-    if spec.operator == "avg":
-        total /= s.shape[0]
-    return total
+    n = F.shape[0]
+    if offsets is None:
+        V, _ = segment_aggregate(spec, context_scores(w, F), np.array([0, n]), np.zeros(n, int))
+        return float(V[0])
+    offsets = np.asarray(offsets, dtype=int)
+    counts = offsets[1:] - offsets[:-1]
+    if offsets[0] != 0 or offsets[-1] != n or np.any(counts <= 0):
+        raise AggregationError(f"offsets must rise from 0 to {n} rows, got {offsets}")
+    segments = np.repeat(np.arange(counts.shape[0]), counts)
+    return segment_aggregate(spec, context_scores(w, F), offsets, segments)[0]
 
 
 def aggregate_gradient(spec: AggregatorSpec, weights, features) -> np.ndarray:
     """dV/dw for the entity: the one-segment case of :func:`segment_aggregate`."""
     w, F = _check_matrix(weights, features)
     n = F.shape[0]
-    _, coef = segment_aggregate(spec, F @ w, np.array([0, n]), np.zeros(n, dtype=int))
+    _, coef = segment_aggregate(spec, context_scores(w, F), np.array([0, n]), np.zeros(n, int))
     return F.T @ coef(np.ones(1))
 
 
 def segment_deciles(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """:func:`rank_deciles` of every segment scores[offsets[k]:offsets[k+1]]
-    at once, returned per original row."""
+    """Decile of each row's rank in its segment scores[offsets[k]:offsets[k+1]]:
+    ranked by descending score, ties by row, 0-based position p of n maps
+    to min(10 p // n, 9).  Returned per original row."""
     s = np.asarray(scores, dtype=float)
     counts = np.diff(offsets)
     rows = np.arange(s.shape[0])
@@ -246,51 +226,56 @@ def segment_deciles(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_sums(terms: np.ndarray, offsets: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    return np.add.reduceat(terms[np.lexsort((terms, segments))], offsets[:-1])
+
+
 def segment_aggregate(
     spec: AggregatorSpec, s: np.ndarray, offsets: np.ndarray, segments: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Segment-wise entity scores and their chain rule.
+    """Segment-wise entity scores and their chain rule: the one kernel.
 
     Segment k holds the raw context scores s[offsets[k]:offsets[k+1]] and
-    ``segments`` gives each row's segment id.  Returns V (one score per
-    segment) and a builder mapping per-segment coefficients c to
+    ``segments`` gives each row's segment id.  Each segment's per-context
+    terms are summed in sorted order, so V (one score per segment) is
+    bit-identical under any permutation of a segment's rows.  Also
+    returns a builder mapping per-segment coefficients c to
     per-context coefficients, so that sum_k c_k dV_k/dw = F.T @ build(c)
-    when s = F @ w.  Sum/avg differentiate the transform chain; softor
-    uses d/dw [1 - prod(1 - sigmoid(s_x))] = sum_x sigmoid(s_x) *
+    when s = F @ w.  Sum/avg differentiate the transform chain (the
+    indicator has no derivative: building raises); softor uses
+    d/dw [1 - prod(1 - sigmoid(s_x))] = sum_x sigmoid(s_x) *
     prod_all(1 - sigmoid) * f_x (the (1 - sigmoid(s_x)) factor of the
     usual product rule folds into the full product); softcutoff holds the
-    rank-derived deciles fixed.  Segments are summed in row order, not
-    sorted as in :func:`aggregate_score`.
+    rank-derived deciles fixed.
     """
-    starts = offsets[:-1]
     if spec.operator == "softor":
-        log_one_minus = -np.logaddexp(0.0, s)
-        seg_log = np.add.reduceat(log_one_minus, starts)
-        V = -np.expm1(seg_log)
+        # log(1 - sigmoid(s)) = -softplus(s); V = 1 - exp(sum)
+        seg_log = _sorted_sums(-np.logaddexp(0.0, s), offsets, segments)
+        # The exact value is below 1; clamp the rounded-up case.
+        V = np.minimum(-np.expm1(seg_log), np.nextafter(1.0, 0.0))
         product = np.exp(seg_log)
-        sig = expit(s)
 
         def build(entity_coef: np.ndarray) -> np.ndarray:
-            return sig * (entity_coef * product)[segments]
+            return expit(s) * (entity_coef * product)[segments]
 
         return V, build
     if spec.operator == "softcutoff":
         weights_ctx = np.asarray(spec.decay, dtype=float)[segment_deciles(s, offsets)]
-        V = np.add.reduceat(weights_ctx * s, starts)
+        V = _sorted_sums(weights_ctx * s, offsets, segments)
 
         def build(entity_coef: np.ndarray) -> np.ndarray:
             return weights_ctx * entity_coef[segments]
 
         return V, build
-    value, deriv = transform_eval(spec.transform, s)
-    V = np.add.reduceat(value, starts)
-    scale = np.ones(starts.shape[0])
-    if spec.operator == "avg":
-        scale = 1.0 / np.diff(offsets)
-        V = V * scale
+    value, deriv = transform_eval(spec.transform, s, derivative=False)
+    V = _sorted_sums(value, offsets, segments)
+    divisor = np.diff(offsets) if spec.operator == "avg" else 1.0
+    V = V / divisor
 
     def build(entity_coef: np.ndarray) -> np.ndarray:
-        return deriv * (entity_coef * scale)[segments]
+        if deriv is None:
+            raise TransformError("the indicator transform has no derivative")
+        return deriv * (entity_coef / divisor)[segments]
 
     return V, build
 

@@ -45,7 +45,6 @@ from proxrank.corpus import (
     CorpusStats,
     Document,
     Query,
-    QueryTerm,
     TermState,
     compute_idf,
     phrase_starts,
@@ -228,7 +227,8 @@ def bm25_score(
     """
     if stats.num_docs == 0:
         return 0.0
-    return _bm25(tokens, Counter(tokens), query, stats, params)
+    tfs = _term_frequencies(query, tokens, Counter(tokens))
+    return _bm25(len(tokens), tfs, query, stats, params)
 
 
 def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> float:
@@ -239,29 +239,31 @@ def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> flo
     """
     if stats.num_docs == 0:
         return 0.0
-    return _cosine(TermState.of(tokens, stats), query, stats)
+    state = TermState.of(tokens, stats)
+    return _cosine(state, _term_frequencies(query, state.tokens, state.counts), query, stats)
 
 
-def _term_frequency(term: QueryTerm, tokens: Sequence[str], counts: Mapping[str, int]) -> int:
-    if term.is_phrase:
-        return len(phrase_starts(tokens, term.tokens, range(len(tokens))))
-    return counts[term.tokens[0]]
+def _term_frequencies(
+    query: Query, tokens: Sequence[str], counts: Mapping[str, int]
+) -> dict[str, int]:
+    """tf of each distinct query term, by text; a phrase is scanned once."""
+    return {
+        term.text: len(phrase_starts(tokens, term.tokens, range(len(tokens))))
+        if term.is_phrase
+        else counts[term.tokens[0]]
+        for term in query.distinct_terms()
+    }
 
 
 def _bm25(
-    tokens: Sequence[str],
-    counts: Mapping[str, int],
-    query: Query,
-    stats: CorpusStats,
-    params: Bm25Params,
+    dl: int, tfs: Mapping[str, int], query: Query, stats: CorpusStats, params: Bm25Params
 ) -> float:
     n = stats.num_docs
     avg = stats.avg_doc_len or 1.0
-    dl = len(tokens)
     multiplicity = query.multiplicity()
     score = 0.0
     for term in query.distinct_terms():
-        tf = _term_frequency(term, tokens, counts)
+        tf = tfs[term.text]
         if tf == 0:
             continue
         df = stats.doc_frequency(term.tokens)
@@ -271,14 +273,14 @@ def _bm25(
     return score
 
 
-def _cosine(state: TermState, query: Query, stats: CorpusStats) -> float:
+def _cosine(state: TermState, tfs: Mapping[str, int], query: Query, stats: CorpusStats) -> float:
     multiplicity = query.multiplicity()
     query_weights: dict[tuple[str, ...], float] = {}
     doc_weights: dict[tuple[str, ...], float] = {}  # of the query's terms only
     for term in query.distinct_terms():
         idf = compute_idf(stats, term.text)
         query_weights[term.tokens] = multiplicity[term.text] * idf
-        tf = _term_frequency(term, state.tokens, state.counts)
+        tf = tfs[term.text]
         if tf:
             doc_weights[term.tokens] = tf * idf
     dot = sum(w * doc_weights.get(k, 0.0) for k, w in query_weights.items())
@@ -302,14 +304,16 @@ def document_scores(
     """Whole-document features: BM25 and cosine (noprox) plus the pad.
 
     Both scores read the document's term state from ``stats``, which
-    builds it on the first call for that document.
+    builds it on the first call for that document, and one tf per
+    distinct query term: each phrase is scanned once per call.
     """
     out: FeatureVector = {}
     if layout.has("noprox") and stats.num_docs:
         offset = layout.family_offset("noprox")
         state = stats.term_state(document)
-        bm25 = _bm25(state.tokens, state.counts, query, stats, params)
-        cos = _cosine(state, query, stats)
+        tfs = _term_frequencies(query, state.tokens, state.counts)
+        bm25 = _bm25(len(state.tokens), tfs, query, stats, params)
+        cos = _cosine(state, tfs, query, stats)
         if bm25:
             out[offset] = bm25
         if cos:

@@ -34,6 +34,7 @@ from proxrank.aggregators import (
     NUM_DECILES,
     AggregatorSpec,
     aggregate_score,
+    context_scores,
     macdonald_features,
     segment_aggregate,
     segment_deciles,
@@ -334,7 +335,7 @@ def objective_and_gradient(
     loss = 0.0
     grad = np.zeros_like(w)
     for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
-        V, build_coef = segment_aggregate(spec, pq.stack @ w, pq.offsets, pq.segments)
+        V, build = segment_aggregate(spec, context_scores(w, pq.stack), pq.offsets, pq.segments)
         margins = 1.0 + V[bad_idx] - V[good_idx]
         sh, sig = soft_hinge(margins)
         loss += float(np.sum(np.sort(sh))) / sh.shape[0]
@@ -342,7 +343,7 @@ def objective_and_gradient(
         np.add.at(entity_coef, bad_idx, sig)
         np.add.at(entity_coef, good_idx, -sig)
         entity_coef /= sh.shape[0]
-        grad += pq.stack.T @ build_coef(entity_coef)
+        grad += pq.stack.T @ build(entity_coef)
     reg_value, reg_grad = regularization(w, layout, config)
     return loss + reg_value, grad + reg_grad
 
@@ -495,11 +496,20 @@ def train_model(
 
 
 def model_scores(model: Model, pq: PreparedQuery) -> dict[str, float]:
-    """Score every candidate entity of a prepared query."""
-    out = {}
-    for k, eid in enumerate(pq.entity_ids):
-        out[eid] = aggregate_score(model.spec, model.weights, pq.matrix(k))
-    return out
+    """Score every candidate entity of a prepared query in one kernel call.
+    A non-finite score (say, from an overflowing context score) raises,
+    naming the query and the entity."""
+    if not pq.n_entities:
+        return {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = aggregate_score(model.spec, model.weights, pq.stack, pq.offsets)
+    bad = np.flatnonzero(~np.isfinite(V))
+    if bad.size:
+        k = int(bad[0])
+        raise TrainingError(
+            f"query {pq.query_id!r}: entity {pq.entity_ids[k]!r} has a non-finite score {V[k]}"
+        )
+    return dict(zip(pq.entity_ids, V.tolist()))
 
 
 def select_ridge_width(
@@ -566,7 +576,7 @@ class CutoffModel:
 def _decile_profiles(model: Model, pq: PreparedQuery) -> np.ndarray:
     """Per-entity 10-vectors A with A[r] = sum of raw scores in decile r,
     so the cutoff-weighted entity score is decay @ A."""
-    s = pq.stack @ model.weights
+    s = context_scores(model.weights, pq.stack)
     profiles = np.zeros((pq.n_entities, NUM_DECILES))
     np.add.at(profiles, (pq.segments, segment_deciles(s, pq.offsets)), s)
     return profiles

@@ -133,6 +133,45 @@ def aggregate(operator: str, transform_name: str, scores, decay=None) -> float:
     raise ValueError(operator)
 
 
+def rank_deciles(scores) -> np.ndarray:
+    """Decile of each context's rank position under descending raw score:
+    position p (0-based, ties broken by original index) maps to
+    floor(10 p / n), clamped to [0, 9].  Returned per original index."""
+    s = np.asarray(scores, dtype=float)
+    n = s.shape[0]
+    order = np.lexsort((np.arange(n), -s))
+    deciles = np.minimum((10 * np.arange(n)) // n, 9)
+    out = np.empty(n, dtype=int)
+    out[order] = deciles
+    return out
+
+
+def entity_score(spec, weights, features) -> float:
+    """The package's former ranking scorer, one entity at a time.
+
+    Raw scores come from the BLAS product F @ w, whose bits for a row
+    depend on where the row sits in F; each operator's terms are then
+    summed in sorted order.
+    """
+    s = np.asarray(features, dtype=float) @ np.asarray(weights, dtype=float)
+    if spec.operator == "softor":
+        value = -np.expm1(np.sum(np.sort(-np.logaddexp(0.0, s))))
+        return float(min(value, np.nextafter(1.0, 0.0)))
+    if spec.operator == "softcutoff":
+        terms = np.asarray(spec.decay, dtype=float)[rank_deciles(s)] * s
+        return float(np.sum(np.sort(terms)))
+    if spec.transform == "exp":
+        values = np.exp(np.clip(s, -500.0, 500.0))
+    elif spec.transform == "log1p":
+        values = np.log1p(s)
+    elif spec.transform == "indicator":
+        values = (s > 0.0).astype(float)
+    else:
+        values = s
+    total = float(np.sum(np.sort(values)))
+    return total / s.shape[0] if spec.operator == "avg" else total
+
+
 def voting(scores) -> dict[str, float]:
     n = len(scores)
     return {

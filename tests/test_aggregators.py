@@ -13,21 +13,25 @@ from proxrank.aggregators import (
     aggregate_gradient,
     aggregate_score,
     balog2_score,
+    context_scores,
     macdonald_features,
     petkova_score,
     positional_term_distribution,
-    rank_deciles,
     segment_deciles,
     transform_eval,
-    transform_value,
     voting_aggregates,
 )
 from proxrank.corpus import Query, QueryTerm, find_candidates
+from proxrank.evaluation import rank_entities
 from proxrank.features import bm25_score
 
 import oracles
 
 NAMED = ("sum", "avg", "softmax", "softcount", "softor")
+DECAY = tuple(float(x) for x in np.linspace(1.0, 0.0, 10))
+EVERY_OPERATOR = [AggregatorSpec.from_name(n) for n in NAMED + ("count",)] + [
+    AggregatorSpec("softcutoff", "identity", DECAY)
+]
 
 
 def random_instance(rng, max_contexts=10, dimension=6, scale=1.0):
@@ -37,20 +41,31 @@ def random_instance(rng, max_contexts=10, dimension=6, scale=1.0):
     return w, F
 
 
+def value(transform, a):
+    return transform_eval(transform, a, derivative=False)[0]
+
+
+def deciles(scores):
+    return segment_deciles(scores, np.array([0, len(scores)]))
+
+
 class TestTransforms:
     def test_values(self):
-        assert transform_value("identity", 2.5) == 2.5
-        assert transform_value("exp", 1.0) == pytest.approx(math.e, rel=1e-15)
-        assert transform_value("log1p", 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert transform_value("indicator", 0.3) == 1.0
-        assert transform_value("indicator", 0.0) == 0.0
+        assert value("identity", 2.5) == 2.5
+        assert value("exp", 1.0) == pytest.approx(math.e, rel=1e-15)
+        assert value("log1p", 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert value("indicator", 0.3) == 1.0
+        assert value("indicator", 0.0) == 0.0
 
     def test_exp_is_clamped(self):
-        assert np.isfinite(transform_value("exp", 1e9))
+        assert np.isfinite(value("exp", 1e9))
 
     def test_log1p_domain(self):
         with pytest.raises(TransformError):
-            transform_value("log1p", -1.0)
+            value("log1p", -1.0)
+
+    def test_indicator_value_without_its_derivative(self):
+        assert transform_eval("indicator", 0.5, derivative=False) == (1.0, None)
 
     def test_indicator_has_no_derivative(self):
         with pytest.raises(TransformError, match="indicator"):
@@ -89,21 +104,20 @@ class TestSpec:
 
 class TestRankDeciles:
     def test_two_contexts_split_at_the_median(self):
-        assert rank_deciles(np.array([5.0, 3.0])).tolist() == [0, 5]
-        assert rank_deciles(np.array([3.0, 5.0])).tolist() == [5, 0]
+        assert deciles(np.array([5.0, 3.0])).tolist() == [0, 5]
+        assert deciles(np.array([3.0, 5.0])).tolist() == [5, 0]
 
     def test_ten_contexts_cover_all_deciles(self):
         scores = np.arange(10, 0, -1, dtype=float)
-        assert rank_deciles(scores).tolist() == list(range(10))
+        assert deciles(scores).tolist() == list(range(10))
 
     def test_ties_break_by_original_index(self):
-        deciles = rank_deciles(np.array([1.0, 1.0]))
-        assert deciles.tolist() == [0, 5]
+        assert deciles(np.array([1.0, 1.0])).tolist() == [0, 5]
 
     def test_large_support_clamps_to_last_decile(self):
-        deciles = rank_deciles(-np.arange(25, dtype=float))
-        assert deciles.min() == 0
-        assert deciles.max() == 9
+        got = deciles(-np.arange(25, dtype=float))
+        assert got.min() == 0
+        assert got.max() == 9
 
     def test_segment_deciles_match_per_segment_rank_deciles(self):
         rng = np.random.default_rng(67)
@@ -113,7 +127,7 @@ class TestRankDeciles:
             # few distinct values, so most segments contain ties
             s = rng.integers(-2, 3, size=offsets[-1]).astype(float)
             want = np.concatenate(
-                [rank_deciles(s[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+                [oracles.rank_deciles(s[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
             )
             assert segment_deciles(s, offsets).tolist() == want.tolist()
 
@@ -164,6 +178,101 @@ class TestAggregateScore:
         spec = AggregatorSpec.from_name("sum")
         with pytest.raises(AggregationError):
             aggregate_score(spec, np.ones(3), np.ones((2, 4)))
+
+    def test_offsets_must_cover_the_rows(self):
+        spec = AggregatorSpec.from_name("sum")
+        for offsets in ([0, 3], [1, 4], [0, 0, 4], [0, 3, 2, 4]):
+            with pytest.raises(AggregationError, match="offsets"):
+                aggregate_score(spec, np.ones(2), np.ones((4, 2)), offsets)
+
+
+def random_wide(rng, scale=1.0):
+    """An entity at full width: up to 60 contexts of up to 70 features."""
+    n, d = int(rng.integers(1, 61)), int(rng.integers(1, 71))
+    return scale * rng.random(d), scale * rng.random((n, d))
+
+
+def random_stack(rng, n_entities):
+    counts = rng.integers(1, 61, size=n_entities)
+    d = int(rng.integers(1, 71))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return rng.random(d), rng.random((int(offsets[-1]), d)), offsets
+
+
+def spec_id(spec):
+    return spec.name
+
+
+class TestOneScorer:
+    """One row product and one sorted kernel, at the shapes real stacks have."""
+
+    def test_row_product_ignores_position_and_memory_order(self):
+        rng = np.random.default_rng(101)
+        for _ in range(300):
+            w, F = random_wide(rng)
+            s = context_scores(w, F)
+            a = int(rng.integers(0, F.shape[0]))
+            assert context_scores(w, F[a : a + 2]).tobytes() == s[a : a + 2].tobytes()
+            assert context_scores(w, np.asfortranarray(F)).tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("spec", EVERY_OPERATOR, ids=spec_id)
+    def test_permutation_returns_identical_bits_at_full_width(self, spec):
+        rng = np.random.default_rng(103)
+        for _ in range(150):
+            w, F = random_wide(rng)
+            base = aggregate_score(spec, w, F)
+            for _ in range(3):
+                assert aggregate_score(spec, w, F[rng.permutation(F.shape[0])]) == base
+
+    @pytest.mark.parametrize("spec", EVERY_OPERATOR, ids=spec_id)
+    def test_stacked_scores_equal_single_entity_scores(self, spec):
+        rng = np.random.default_rng(107)
+        for _ in range(40):
+            w, F, offsets = random_stack(rng, int(rng.integers(1, 6)))
+            stacked = aggregate_score(spec, w, F, offsets)
+            single = [aggregate_score(spec, w, F[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+            assert stacked.tolist() == single
+
+    @pytest.mark.parametrize("spec", EVERY_OPERATOR, ids=spec_id)
+    def test_within_stated_ulps_of_the_former_scorer(self, spec):
+        # Both sides sum the same sorted terms, so they differ only through
+        # the row products: BLAS and vecdot add <= 70 non-negative products
+        # in different orders, a relative difference of a few eps (measured
+        # <= 3.3).  Sums of non-negative terms keep that relative size,
+        # log1p and softor shrink it, and exp scales it by s: so 8 eps,
+        # times max(1, max s) under exp (measured 2.6 and 1.7).
+        rng = np.random.default_rng(109)
+        eps = np.finfo(float).eps
+        for _ in range(150):
+            w, F = random_wide(rng, scale=0.3 if spec.operator == "softor" else 1.0)
+            s = F @ w
+            bound = 8 * eps * (max(1.0, float(s.max())) if spec.transform == "exp" else 1.0)
+            want = oracles.entity_score(spec, w, F)
+            assert abs(aggregate_score(spec, w, F) - want) <= bound * abs(want)
+
+    @pytest.mark.parametrize("spec", EVERY_OPERATOR, ids=spec_id)
+    def test_rankings_match_the_former_scorer_except_at_exact_ties(self, spec):
+        rng = np.random.default_rng(113)
+        ties = 0
+        for _ in range(20):
+            w, F, offsets = random_stack(rng, 8)
+            # Append a row-permuted copy of entity 0: an exact tie by design.
+            first = F[: offsets[1]]
+            F = np.vstack([F, first[rng.permutation(first.shape[0])]])
+            offsets = np.append(offsets, F.shape[0])
+            ids = [f"e{k}" for k in range(offsets.shape[0] - 1)]
+            new = dict(zip(ids, aggregate_score(spec, w, F, offsets).tolist()))
+            old = {
+                eid: oracles.entity_score(spec, w, F[a:b])
+                for eid, a, b in zip(ids, offsets[:-1], offsets[1:])
+            }
+            ties += len(set(new.values())) < len(new)
+            # Reordering entities inside a group of equal new scores is the
+            # only freedom: the score sequences along both rankings agree.
+            new_order = [new[e] for e, _ in rank_entities("q", new).items]
+            old_order = [new[e] for e, _ in rank_entities("q", old).items]
+            assert new_order == old_order
+        assert ties == 20
 
 
 class TestSoftOr:
@@ -220,8 +329,7 @@ class TestAggregateGradient:
         spec = AggregatorSpec("softcutoff", "identity", decay)
         w, F = random_instance(rng, max_contexts=8)
         got = aggregate_gradient(spec, w, F)
-        deciles = rank_deciles(F @ w)
-        want = F.T @ np.asarray(decay)[deciles]
+        want = F.T @ np.asarray(decay)[oracles.rank_deciles(F @ w)]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_count_gradient_rejected(self):

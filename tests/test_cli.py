@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -196,10 +197,13 @@ class TestRankCommand:
         assert len(rankings) == 4
         assert all(r.items for r in rankings)
 
-    def test_non_finite_model_weight_fails_at_rank(self, synth_dir, model_dir, tmp_path, capsys):
+    @staticmethod
+    def _rank_with_weights(synth_dir, model_dir, tmp_path, edit):
+        """Exit code and output directory of ``rank`` with the trained
+        model's weight list passed through ``edit``."""
         with open(os.path.join(model_dir, "model.json")) as fh:
             data = json.load(fh)
-        data["weights"][3] = float("nan")
+        data["weights"] = edit(data["weights"])
         model_path = str(tmp_path / "model.json")
         with open(model_path, "w") as fh:
             json.dump(data, fh)
@@ -213,8 +217,24 @@ class TestRankCommand:
                 "--out", out,
             ]
         )
+        return code, out
+
+    def test_non_finite_model_weight_fails_at_rank(self, synth_dir, model_dir, tmp_path, capsys):
+        code, out = self._rank_with_weights(
+            synth_dir, model_dir, tmp_path, lambda w: w[:3] + [float("nan")] + w[4:]
+        )
         assert code == 1
         assert "proxrank rank: rank: model weight 3 must be finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "run.txt"))
+
+    def test_overflowing_entity_score_fails_at_rank(self, synth_dir, model_dir, tmp_path, capsys):
+        code, out = self._rank_with_weights(
+            synth_dir, model_dir, tmp_path, lambda w: [1e308] * len(w)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        named = r"proxrank rank: rank: query '[^']+': entity '[^']+' has a non-finite score inf"
+        assert re.search(named, err)
         assert not os.path.exists(os.path.join(out, "run.txt"))
 
     @pytest.mark.parametrize("baseline", ["count", "balog2", "petkova"])

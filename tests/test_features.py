@@ -25,6 +25,7 @@ from proxrank.corpus import (
     extract_context,
     find_candidates,
     load_corpus,
+    phrase_starts,
 )
 from proxrank.features import (
     FAMILY_ORDER,
@@ -483,6 +484,27 @@ class TestDocumentTermState:
             for _ in range(2):
                 got = document_scores(doc, query, index.stats, TRAIN_RANK_LAYOUT)
                 assert got.get(offset + 1, 0.0) == cos, doc.doc_id
+
+    def test_each_phrase_is_scanned_once_per_call(self, data_dir, monkeypatch):
+        index = self._fresh_index(data_dir)
+        # Two distinct phrases, one of them twice, and a unigram.
+        query = Query(
+            "q", [QueryTerm("programming language"), QueryTerm("was created"),
+                  QueryTerm("programming language"), QueryTerm("python")]
+        )
+        index.warm_query(query)
+        scanned = []
+
+        def counting(tokens, phrase, candidates):
+            scanned.append(tuple(phrase))
+            return phrase_starts(tokens, phrase, candidates)
+
+        monkeypatch.setattr(features, "phrase_starts", counting)
+        for doc in index.documents.values():
+            for _ in range(2):  # builds the state, then reads it
+                document_scores(doc, query, index.stats, TRAIN_RANK_LAYOUT)
+                assert sorted(scanned) == [("programming", "language"), ("was", "created")]
+                scanned.clear()
 
     def test_other_document_under_an_indexed_id_gets_its_own_state(
         self, data_dir, fixture_queries

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from proxrank.aggregators import NUM_DECILES, AggregatorSpec, aggregate_score
+from proxrank.aggregators import NUM_DECILES, AggregatorSpec, aggregate_score, context_scores
 from proxrank.features import FeatureError, FeatureLayout
+import proxrank.training
 from proxrank.training import (
     CutoffModel,
     Model,
@@ -549,6 +550,45 @@ class TestModelScores:
         for k, eid in enumerate(pq.entity_ids):
             assert scores[eid] == aggregate_score(model.spec, model.weights, pq.matrix(k))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [AggregatorSpec.from_name(n) for n in ("sum", "avg", "softmax", "softcount", "softor")]
+        + [AggregatorSpec("softcutoff", "identity", tuple(np.linspace(1.0, 0.1, 10)))],
+        ids=lambda spec: spec.name,
+    )
+    def test_equal_training_scores_bit_for_bit(self, spec, monkeypatch):
+        # Training ranks entities by the V that the objective's kernel call
+        # computes; ranking must compute the very same bits.
+        seen = []
+        kernel = proxrank.training.segment_aggregate
+
+        def recording(*args):
+            V, build = kernel(*args)
+            seen.append(V)
+            return V, build
+
+        monkeypatch.setattr(proxrank.training, "segment_aggregate", recording)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            pq = random_prepared(rng, n_entities=int(rng.integers(2, 9)), max_contexts=60)
+            model = Model(rng.random(pq.dimension), spec, None)
+            objective_and_gradient(model.weights, [pq], spec, default_config())
+            assert seen.pop().tolist() == list(model_scores(model, pq).values())
+
+    @pytest.mark.parametrize("name", ["sum", "avg", "softcount"])
+    def test_non_finite_score_names_query_and_entity(self, name):
+        pq = PreparedQuery.from_matrices(
+            "q7", ["a", "b"], [np.full((1, 2), 0.5), np.full((2, 2), 4.0)]
+        )
+        # Entity a's context score is 1e308; entity b's overflows.
+        model = Model(np.full(2, 1e308), AggregatorSpec.from_name(name), None)
+        with pytest.raises(TrainingError, match="query 'q7': entity 'b' has a non-finite score"):
+            model_scores(model, pq)
+
+    def test_query_without_candidates_scores_nothing(self):
+        pq = PreparedQuery.from_matrices("q", [], [])
+        assert model_scores(Model(np.ones(2), AggregatorSpec.from_name("sum"), None), pq) == {}
+
 
 class TestCutoff:
     def make_model_and_data(self, rng, n_queries=4):
@@ -602,7 +642,7 @@ class TestCutoff:
             ridge = (0.5, 1.0, 10.0)[trial % 3]
             per_query = []
             for pq in sorted(prepared, key=lambda p: p.query_id):
-                s = pq.stack @ model.weights
+                s = context_scores(model.weights, pq.stack)
                 profiles = [
                     oracles.decile_profile(list(s[a:b]))
                     for a, b in zip(pq.offsets[:-1], pq.offsets[1:])
