@@ -48,10 +48,7 @@ from proxrank.evaluation import (
 from proxrank.features import (
     Bm25Params,
     FeatureLayout,
-    build_feature_vector,
     document_scores,
-    grid_features,
-    idfupto_features,
     rectangle_features,
 )
 from proxrank.synth import SynthParams, generate_synthetic

@@ -78,9 +78,11 @@ class MetricSet:
 def _ndcg(rank_of: Mapping[str, int], good: frozenset[str], k: int) -> float:
     if not good:
         return 0.0
+    # Sum in sorted order: a set's iteration order follows the per-process
+    # string hash seed, and float addition is not associative.
     dcg = sum(
         1.0 / math.log2(1.0 + rank_of[eid])
-        for eid in good
+        for eid in sorted(good)
         if eid in rank_of and rank_of[eid] <= k
     )
     ideal = sum(1.0 / math.log2(1.0 + r) for r in range(1, min(k, len(good)) + 1))

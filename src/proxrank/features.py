@@ -18,8 +18,8 @@ into one flat index space.  Families, in layout order:
                    plain evidence counts.
 
 :func:`context_matrix` builds the finite, non-negative rows of many contexts
-at once; :func:`build_feature_vector` and the per-family functions are
-sparse views (index -> value, absent means zero) of one context's row.
+at once; :func:`rectangle_features` is a sparse view (index -> value,
+absent means zero) of one context's rectangle block.
 
 The ``noprox`` scores of an indexed document read its query-independent
 term state (:class:`~proxrank.corpus.TermState`: token counts, squared
@@ -56,12 +56,9 @@ __all__ = [
     "FeatureError",
     "FeatureLayout",
     "bm25_score",
-    "build_feature_vector",
     "context_matrix",
     "cosine_score",
     "document_scores",
-    "grid_features",
-    "idfupto_features",
     "rectangle_features",
     "to_dense",
 ]
@@ -373,64 +370,15 @@ def _proximity_rows(
     return out
 
 
-def _sparse(values: np.ndarray, offset: int = 0) -> FeatureVector:
-    return {offset + int(k): float(values[k]) for k in np.flatnonzero(values)}
-
-
-def _family_view(
-    family: str, context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
-) -> FeatureVector:
-    start = layout.family_offset(family)
-    row = _proximity_rows([context], query, stats, layout)[0]
-    return _sparse(row[start : start + layout.family_size(family)], start)
-
-
-def idfupto_features(
-    context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
-) -> FeatureVector:
-    """Matched-IDF fraction within each distance boundary.
-
-    Feature for boundary L sums IDF(t)/IDF(query) over matched terms with
-    distance <= L, so values are non-decreasing across boundaries and
-    never exceed 1.
-    """
-    return _family_view("idfupto", context, query, stats, layout)
-
-
-def grid_features(
-    context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
-) -> FeatureVector:
-    """Rarity-by-proximity histogram: one increment per matched term."""
-    return _family_view("grid", context, query, stats, layout)
-
-
 def rectangle_features(
     context: Context, query: Query, stats: CorpusStats, layout: FeatureLayout
 ) -> FeatureVector:
     """Cumulative histogram: a match at (i, j) fires all cells (i', j')
     with i' <= i and j' <= j, one count each, additive across matches."""
-    return _family_view("rectangle", context, query, stats, layout)
-
-
-def build_feature_vector(
-    document: Document,
-    context: Context | None,
-    query: Query,
-    stats: CorpusStats,
-    layout: FeatureLayout,
-    params: Bm25Params = Bm25Params(),
-) -> FeatureVector:
-    """One context's row of :func:`context_matrix`, as a sparse vector."""
-    if layout.needs_context and context is None:
-        raise FeatureError("layout has proximity families but no context was given")
-    if context is not None and context.doc_id != document.doc_id:
-        raise FeatureError(
-            f"context from doc {context.doc_id!r} paired with document {document.doc_id!r}"
-        )
-    row = to_dense(document_scores(document, query, stats, layout, params), layout.dimension)
-    if context is not None:
-        row += _proximity_rows([context], query, stats, layout)[0]
-    return _sparse(_checked(row[None], query, [document.doc_id])[0])
+    start = layout.family_offset("rectangle")
+    row = _proximity_rows([context], query, stats, layout)[0]
+    block = row[start : start + layout.family_size("rectangle")]
+    return {start + int(k): float(block[k]) for k in np.flatnonzero(block)}
 
 
 def to_dense(vector: Mapping[int, float], dimension: int) -> np.ndarray:

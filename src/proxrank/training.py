@@ -7,10 +7,15 @@ The objective over queries q with judged-good G and judged-bad B sets is
 
 where V is the aggregated entity score under the current weights.  The
 pair mean equals the 1/(|G||B|) normalization when all pairs are used;
-over-large pair grids are subsampled with a seeded substream.  Weights
-are constrained non-negative and optimized by L-BFGS-B (Byrd, Lu, Nocedal
-& Zhu 1995) with bounds w >= 0; the fitted model records why the solver
-stopped and how many points it evaluated.
+over-large pair grids are subsampled with a seeded substream.  A fit
+draws the pairs once, into a :class:`TrainingSet` that stacks every
+trainable query's context rows, so each evaluation is one kernel call
+over all queries.  Weights are constrained non-negative and optimized by
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) with bounds w >= 0; the fitted
+model records why the solver stopped and how many points it evaluated.
+
+The optional rank-cutoff stage fits a non-increasing decile decay on the
+same stacked set by linear programming, solved as its 10-row dual.
 
 Grid-shaped weight blocks (grid, rectangle) are regularized by neighbor
 smoothness instead of the plain ridge, since their discretization is
@@ -23,11 +28,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from scipy.sparse import block_array, csr_array, eye_array
 from scipy.special import expit
 
 from proxrank.aggregators import (
@@ -55,6 +59,7 @@ __all__ = [
     "PreparedQuery",
     "TrainConfig",
     "TrainingError",
+    "TrainingSet",
     "cutoff_objective",
     "load_model",
     "model_scores",
@@ -268,18 +273,61 @@ def pair_sample(
     return ks // n_bad, ks % n_bad
 
 
-def _sampled_pairs(
-    prepared: Sequence[PreparedQuery], config: TrainConfig
-) -> Iterator[tuple[PreparedQuery, np.ndarray, np.ndarray]]:
-    """(pq, good_idx, bad_idx) for every trainable query whose pair sample
-    is not empty, in query-id order; the indices point into ``entity_ids``."""
-    for pq in sorted(prepared, key=lambda p: p.query_id):
-        if not pq.trainable:
-            continue
-        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
-        if gi.size == 0:
-            continue
-        yield pq, np.asarray(pq.good, dtype=int)[gi], np.asarray(pq.bad, dtype=int)[bi]
+@dataclass(frozen=True)
+class TrainingSet:
+    """Every trainable query's sampled pairs over one stacked matrix.
+
+    Built once per fit by :meth:`from_prepared`.  ``stack`` holds the
+    context rows of every trainable query, in query-id order, and entity
+    k's rows are stack[offsets[k]:offsets[k+1]] across all queries.
+    Pair p compares entities ``good[p]`` and ``bad[p]`` of one query and
+    carries ``pair_weight[p]`` = 1/|pairs of its query|, so each query's
+    pairs add up to weight 1.
+    """
+
+    stack: np.ndarray
+    offsets: np.ndarray
+    segments: np.ndarray
+    good: np.ndarray
+    bad: np.ndarray
+    pair_weight: np.ndarray
+
+    @classmethod
+    def from_prepared(cls, prepared: Sequence[PreparedQuery], config: TrainConfig) -> "TrainingSet":
+        """Stack the trainable queries and draw each one's pairs with
+        :func:`pair_sample`; untrainable queries are left out."""
+        usable = sorted((pq for pq in prepared if pq.trainable), key=lambda p: p.query_id)
+        if not usable:
+            empty = np.empty(0, dtype=int)
+            return cls(np.zeros((0, 0)), np.zeros(1, dtype=int), empty, empty, empty, np.empty(0))
+        base = np.cumsum([0] + [pq.n_entities for pq in usable])
+        good, bad, pair_weight = [], [], []
+        for pq, start in zip(usable, base):
+            gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
+            good.append(start + np.asarray(pq.good, dtype=int)[gi])
+            bad.append(start + np.asarray(pq.bad, dtype=int)[bi])
+            pair_weight.append(np.full(gi.shape[0], 1.0 / gi.shape[0]))
+        counts = np.concatenate([np.diff(pq.offsets) for pq in usable])
+        return cls(
+            stack=np.ascontiguousarray(np.vstack([pq.stack for pq in usable]), dtype=float),
+            offsets=np.concatenate([[0], np.cumsum(counts)]),
+            segments=np.repeat(np.arange(counts.shape[0]), counts),
+            good=np.concatenate(good),
+            bad=np.concatenate(bad),
+            pair_weight=np.concatenate(pair_weight),
+        )
+
+    @property
+    def n_entities(self) -> int:
+        return self.offsets.shape[0] - 1
+
+
+def _as_training_set(
+    prepared: Sequence[PreparedQuery] | TrainingSet, config: TrainConfig
+) -> TrainingSet:
+    if isinstance(prepared, TrainingSet):
+        return prepared
+    return TrainingSet.from_prepared(prepared, config)
 
 
 def regularization(
@@ -319,33 +367,33 @@ def regularization(
 
 def objective_and_gradient(
     weights,
-    prepared: Sequence[PreparedQuery],
+    prepared: Sequence[PreparedQuery] | TrainingSet,
     spec: AggregatorSpec,
     config: TrainConfig,
     layout: FeatureLayout | None = None,
 ) -> tuple[float, np.ndarray]:
     """Full training objective and its gradient at ``weights``.
 
-    Deterministic: queries are visited in query-id order, pair subsampling
-    is seeded per query, and per-query pair losses are summed in sorted
-    order.  Queries without both a retrieved good and a retrieved bad
-    entity contribute nothing.
+    ``prepared`` is a :class:`TrainingSet`, or queries to build one from.
+    One evaluation is one row product and one kernel call over the whole
+    stack, one soft hinge over every sampled pair, and two bincounts for
+    the entity coefficients; pair losses are summed in set order, which is
+    query-id order, so the value does not depend on the order of
+    ``prepared``.  Queries without both a retrieved good and a retrieved
+    bad entity contribute nothing.
     """
     w = np.asarray(weights, dtype=float)
-    loss = 0.0
-    grad = np.zeros_like(w)
-    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
-        V, build = segment_aggregate(spec, context_scores(w, pq.stack), pq.offsets, pq.segments)
-        margins = 1.0 + V[bad_idx] - V[good_idx]
-        sh, sig = soft_hinge(margins)
-        loss += float(np.sum(np.sort(sh))) / sh.shape[0]
-        entity_coef = np.zeros(pq.n_entities)
-        np.add.at(entity_coef, bad_idx, sig)
-        np.add.at(entity_coef, good_idx, -sig)
-        entity_coef /= sh.shape[0]
-        grad += pq.stack.T @ build(entity_coef)
+    ts = _as_training_set(prepared, config)
     reg_value, reg_grad = regularization(w, layout, config)
-    return loss + reg_value, grad + reg_grad
+    if not ts.pair_weight.size:
+        return reg_value, reg_grad
+    V, build = segment_aggregate(spec, context_scores(w, ts.stack), ts.offsets, ts.segments)
+    sh, sig = soft_hinge(1.0 + V[ts.bad] - V[ts.good])
+    weighted = sig * ts.pair_weight
+    n = ts.n_entities
+    entity_coef = np.bincount(ts.bad, weighted, n) - np.bincount(ts.good, weighted, n)
+    loss = float(np.sum(sh * ts.pair_weight))
+    return loss + reg_value, ts.stack.T @ build(entity_coef) + reg_grad
 
 
 @dataclass
@@ -448,11 +496,12 @@ def train_model(
             ridge_ladder=None,
         )
 
+    training_set = TrainingSet.from_prepared(usable, config)
     iterations = evaluations = 0
 
     def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations
-        value, gradient = objective_and_gradient(w, usable, spec, config, layout)
+        value, gradient = objective_and_gradient(w, training_set, spec, config, layout)
         evaluations += 1
         if evaluations == 1 and not math.isfinite(value):
             raise TrainingError(f"objective not finite at the initial point: {value}")
@@ -573,31 +622,31 @@ class CutoffModel:
         return AggregatorSpec("softcutoff", "identity", tuple(float(d) for d in self.decay))
 
 
-def _decile_profiles(model: Model, pq: PreparedQuery) -> np.ndarray:
+def _decile_profiles(model: Model, ts: TrainingSet) -> np.ndarray:
     """Per-entity 10-vectors A with A[r] = sum of raw scores in decile r,
     so the cutoff-weighted entity score is decay @ A."""
-    s = context_scores(model.weights, pq.stack)
-    profiles = np.zeros((pq.n_entities, NUM_DECILES))
-    np.add.at(profiles, (pq.segments, segment_deciles(s, pq.offsets)), s)
-    return profiles
+    s = context_scores(model.weights, ts.stack)
+    cells = ts.segments * NUM_DECILES + segment_deciles(s, ts.offsets)
+    return np.bincount(cells, s, ts.n_entities * NUM_DECILES).reshape(-1, NUM_DECILES)
 
 
 def cutoff_objective(
     decay: np.ndarray,
     model: Model,
-    prepared: Sequence[PreparedQuery],
+    prepared: Sequence[PreparedQuery] | TrainingSet,
     ridge: float,
     config: TrainConfig,
 ) -> float:
     """Objective the LP minimizes, evaluated at a given decay vector:
-    decay[0]/ridge plus the mean true hinge over sampled pairs."""
+    decay[0]/ridge plus, per query, the mean true hinge over its sampled
+    pairs."""
     decay = np.asarray(decay, dtype=float)
-    total = decay[0] / ridge
-    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
-        V = _decile_profiles(model, pq) @ decay
-        margins = 1.0 + V[bad_idx] - V[good_idx]
-        total += float(np.sum(np.maximum(margins, 0.0))) / margins.shape[0]
-    return total
+    ts = _as_training_set(prepared, config)
+    if not ts.pair_weight.size:
+        return decay[0] / ridge
+    V = _decile_profiles(model, ts) @ decay
+    hinge = np.maximum(1.0 + V[ts.bad] - V[ts.good], 0.0)
+    return decay[0] / ridge + float(np.sum(hinge * ts.pair_weight))
 
 
 def train_soft_cutoff(
@@ -606,42 +655,38 @@ def train_soft_cutoff(
     ridge: float = 1.0,
     config: TrainConfig | None = None,
 ) -> CutoffModel:
-    """Fit the decile decay by linear programming.
+    """Fit the decile decay by linear programming, through the LP dual.
 
-    Variables are the ten decay values and one slack per sampled pair;
-    constraints enforce slack >= hinge margin, slack >= 0, and the decay
-    chain D(0) >= D(1) >= ... >= 0.  The all-zero decay is always
-    feasible, so the program is never infeasible.  The constraint matrix
-    is sparse, so memory grows linearly in the number of pairs.
+    The decay is written as non-negative increments, D = M u with M the
+    upper-triangular ones matrix and u >= 0, so D is non-negative and
+    non-increasing by construction and D[0] = sum(u).  With C_p the
+    cumulative sum of pair p's profile difference A_b - A_g, the primal is
+
+        min over u >= 0 of  sum(u)/ridge + sum_p w_p max(0, 1 + C_p @ u),
+
+    and its dual has ten rows and one column per pair:
+
+        max sum(lam)  s.t.  -C.T @ lam <= 1/ridge,  0 <= lam_p <= w_p.
+
+    u is read from the dual's constraint marginals and clamped at 0.  The
+    all-zero decay is always primal-feasible and lam = 0 dual-feasible,
+    so neither program is infeasible; memory grows linearly in the pairs.
     """
     config = config or TrainConfig()
     if ridge <= 0.0:
         raise TrainingError(f"cutoff ridge must be positive, got {ridge}")
-    diffs = []
-    pair_weights = []
-    for pq, good_idx, bad_idx in _sampled_pairs(prepared, config):
-        profiles = _decile_profiles(model, pq)
-        diffs.append(profiles[bad_idx] - profiles[good_idx])
-        pair_weights.append(np.full(good_idx.shape[0], 1.0 / good_idx.shape[0]))
-    if not diffs:
+    ts = TrainingSet.from_prepared(prepared, config)
+    if not ts.pair_weight.size:
         raise TrainingError("no usable (good, bad) pairs for the cutoff program")
-    diff = np.vstack(diffs)
-
-    n_pairs = diff.shape[0]
-    cost = np.concatenate([[1.0 / ridge], np.zeros(NUM_DECILES - 1), *pair_weights])
-
-    # slack_p >= 1 + V(b) - V(g)  <=>  (A_b - A_g) @ D - slack_p <= -1,
-    # then the decay chain D(r+1) - D(r) <= 0.
-    chain = np.eye(NUM_DECILES - 1, NUM_DECILES, 1) - np.eye(NUM_DECILES - 1, NUM_DECILES)
-    a_ub = block_array(
-        [[csr_array(diff), -eye_array(n_pairs)], [csr_array(chain), None]], format="csc"
+    profiles = _decile_profiles(model, ts)
+    cumulative = np.cumsum(profiles[ts.bad] - profiles[ts.good], axis=1)
+    n_pairs = cumulative.shape[0]
+    result = linprog(
+        -np.ones(n_pairs), A_ub=-cumulative.T, b_ub=np.full(NUM_DECILES, 1.0 / ridge),
+        bounds=np.column_stack([np.zeros(n_pairs), ts.pair_weight]), method="highs",
     )
-    b_ub = np.concatenate([np.full(n_pairs, -1.0), np.zeros(NUM_DECILES - 1)])
-
-    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if not result.success:
         raise TrainingError(f"cutoff program failed: {result.message}")
-    decay = np.asarray(result.x[:NUM_DECILES], dtype=float)
-    # Solver feasibility is only within tolerance; snap to the exact cone.
-    decay = np.minimum.accumulate(np.maximum(decay, 0.0))
-    return CutoffModel(decay=decay, ridge=ridge)
+    # The marginals are d(-sum(lam))/d(b_ub) = -u; clamp solver noise at 0.
+    u = np.maximum(-result.ineqlin.marginals, 0.0)
+    return CutoffModel(decay=np.cumsum(u[::-1])[::-1], ridge=ridge)

@@ -1,8 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written directly from the defining formulas with
-plain loops, no shared code with the package under test.  Slow is fine;
-these run on small instances only.
+plain loops, no shared code with the package under test, except
+:func:`objective_per_query`: it keeps the replaced query-by-query
+training objective, on the package's kernel, as the reference for the
+stacked one.  Slow is fine; these run on small instances only.
 """
 
 from __future__ import annotations
@@ -302,15 +304,10 @@ def decile_profile(scores) -> list[float]:
     return profile
 
 
-def cutoff_decay_dense(per_query, ridge: float) -> np.ndarray:
-    """Decile decay minimizing :func:`cutoff_objective_direct`, from a linear
-    program whose constraint matrix is dense and filled row by row.
-
-    Variables are the ten decay values, then one slack per pair (pairs in
-    ``per_query`` order); each pair's slack carries the weight 1/|pairs| of
-    its query.  The solution is snapped onto the non-negative,
-    non-increasing cone.
-    """
+def _dense_cutoff_program(per_query, ridge: float):
+    """Cost, constraint matrix and bounds of the dense cutoff program:
+    the ten decay values, then one slack per pair (pairs in ``per_query``
+    order), each slack weighted 1/|pairs| of its query."""
     pair_rows = []
     pair_weights = []
     for profiles, pairs in per_query:
@@ -331,11 +328,76 @@ def cutoff_decay_dense(per_query, ridge: float) -> np.ndarray:
     for r in range(9):
         a_ub[n_pairs + r, r] = -1.0
         a_ub[n_pairs + r, r + 1] = 1.0
+    return cost, a_ub, b_ub
+
+
+def cutoff_decay_dense(per_query, ridge: float) -> np.ndarray:
+    """Decile decay minimizing :func:`cutoff_objective_direct`, from a linear
+    program whose constraint matrix is dense and filled row by row.
+
+    The solution is snapped onto the non-negative, non-increasing cone.
+    """
+    cost, a_ub, b_ub = _dense_cutoff_program(per_query, ridge)
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"dense cutoff program failed: {result.message}")
     decay = np.asarray(result.x[:10], dtype=float)
     return np.minimum.accumulate(np.maximum(decay, 0.0))
+
+
+def cutoff_decay_range(per_query, ridge: float, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest value of each decay entry over the feasible
+    points of the dense program whose objective is at most ``ceiling``.
+
+    With ``ceiling`` a hair above the optimum, a narrow range in every
+    entry means the optimal decay is unique; a degenerate optimum (a face
+    of tied decays) shows as a wide one.
+    """
+    cost, a_ub, b_ub = _dense_cutoff_program(per_query, ridge)
+    a_ub = np.vstack([a_ub, cost])
+    b_ub = np.append(b_ub, ceiling)
+    lo, hi = np.zeros(10), np.zeros(10)
+    for r in range(10):
+        unit = np.zeros(cost.shape[0])
+        unit[r] = 1.0
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            result = linprog(sign * unit, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
+            if not result.success:
+                raise RuntimeError(f"decay range program failed: {result.message}")
+            out[r] = result.x[r]
+    return lo, hi
+
+
+# -- training objective, query by query -------------------------------------------
+
+
+def objective_per_query(weights, prepared, spec, config, layout=None) -> tuple[float, np.ndarray]:
+    """The pairwise training objective and its gradient, one query at a
+    time: each query's pairs drawn by ``pair_sample``, scored through its
+    own kernel call, their soft hinges summed in sorted order and divided
+    by the pair count, and the per-query terms added in query-id order."""
+    from proxrank.aggregators import context_scores, segment_aggregate
+    from proxrank.training import pair_sample, regularization, soft_hinge
+
+    w = np.asarray(weights, dtype=float)
+    loss = 0.0
+    grad = np.zeros_like(w)
+    for pq in sorted(prepared, key=lambda p: p.query_id):
+        if not pq.trainable:
+            continue
+        gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
+        good_idx = np.asarray(pq.good, dtype=int)[gi]
+        bad_idx = np.asarray(pq.bad, dtype=int)[bi]
+        V, build = segment_aggregate(spec, context_scores(w, pq.stack), pq.offsets, pq.segments)
+        sh, sig = soft_hinge(1.0 + V[bad_idx] - V[good_idx])
+        loss += float(np.sum(np.sort(sh))) / sh.shape[0]
+        entity_coef = np.zeros(pq.n_entities)
+        np.add.at(entity_coef, bad_idx, sig)
+        np.add.at(entity_coef, good_idx, -sig)
+        entity_coef /= sh.shape[0]
+        grad += pq.stack.T @ build(entity_coef)
+    reg_value, reg_grad = regularization(w, layout, config)
+    return loss + reg_value, grad + reg_grad
 
 
 # -- Student t tail probability --------------------------------------------------

@@ -3,9 +3,12 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import proxrank
 from proxrank.cli import main
 from proxrank.corpus import load_corpus
 from proxrank.evaluation import read_report, read_run
@@ -332,6 +335,39 @@ class TestXvalCommand:
         report = read_report(os.path.join(out, "report.tsv"))
         assert report.system == "count"
         assert report.macro().ap > 0.8  # count channel is the planted signal
+
+
+    def test_loocv_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Each process draws its own string-hash seed, which orders set
+        # iteration; an unordered float sum over a set changed the last
+        # digit of NDCG@10 in report.tsv on this data.
+        data = str(tmp_path / "data")
+        assert main(["synth", "--out", data, "--seed", "101", "--good", "6", "--bad", "6"]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(proxrank.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = str(tmp_path / f"xval{hash_seed}")
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [
+                    sys.executable, "-m", "proxrank.cli", "xval", "--protocol", "loocv",
+                    "--corpus", os.path.join(data, "corpus.jsonl"),
+                    "--queries", os.path.join(data, "queries.jsonl"),
+                    "--qrels", os.path.join(data, "qrels.txt"),
+                    "--out", out,
+                ],
+                env=env, check=True, capture_output=True,
+            )
+            artifacts = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    artifacts[name] = fh.read()
+            outputs.append(artifacts)
+        assert "report.tsv" in outputs[0]
+        assert sorted(outputs[0]) == sorted(outputs[1])
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], name
 
 
 class TestCompareCommand:

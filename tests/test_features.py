@@ -33,14 +33,10 @@ from proxrank.features import (
     FeatureError,
     FeatureLayout,
     bm25_score,
-    build_feature_vector,
     context_matrix,
     cosine_score,
     document_scores,
-    grid_features,
-    idfupto_features,
     rectangle_features,
-    to_dense,
 )
 from proxrank.synth import SynthParams, generate_synthetic
 
@@ -52,6 +48,18 @@ SMALL = FeatureLayout(
     distance_boundaries=(2, 4, 8),
     idf_fraction_boundaries=(0.25, 0.5, 0.75, 1.0),
 )
+
+
+def _row(index, query, ctx, layout=SMALL):
+    """One context's feature row, as ``context_matrix`` builds it."""
+    return context_matrix(index, query, [ctx], layout)[0]
+
+
+def _sparse_family(row, layout, family):
+    """The nonzero cells of one family's block of a row: index -> value."""
+    start = layout.family_offset(family)
+    block = row[start : start + layout.family_size(family)]
+    return {start + int(k): float(block[k]) for k in np.flatnonzero(block)}
 
 
 def _context(index, doc_id, mention_index, query, window=50):
@@ -176,7 +184,7 @@ class TestProximityFamilies:
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
         fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)  # created at 1, python at 3
-        vec = idfupto_features(ctx, query, fixture_index.stats, SMALL)
+        vec = _row(fixture_index, query, ctx)
         base = SMALL.family_offset("idfupto")
         idf_created = 8 / 3
         idf_python = 8 / 4
@@ -184,7 +192,7 @@ class TestProximityFamilies:
         assert vec[base + 0] == pytest.approx(share, rel=1e-12)  # within 2
         assert vec[base + 1] == pytest.approx(1.0, rel=1e-12)  # within 4
         assert vec[base + 2] == pytest.approx(1.0, rel=1e-12)  # within 8
-        values = [vec.get(base + k, 0.0) for k in range(3)]
+        values = list(vec[base : base + 3])
         assert values == sorted(values)
         assert max(values) <= 1.0 + 1e-12
 
@@ -192,7 +200,7 @@ class TestProximityFamilies:
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
         fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)
-        vec = grid_features(ctx, query, fixture_index.stats, SMALL)
+        vec = _sparse_family(_row(fixture_index, query, ctx), SMALL, "grid")
         idf_created = 8 / 3
         idf_python = 8 / 4
         total = idf_created + idf_python
@@ -234,46 +242,31 @@ class TestVectorAssembly:
         fixture_index.warm_query(query)
         doc = fixture_index.documents["d01"]
         ctx = _context(fixture_index, "d01", 0, query)
-        vec = build_feature_vector(doc, ctx, query, fixture_index.stats, SMALL)
-        assert vec[SMALL.family_offset("pad")] == 1.0
-        assert all(0 <= k < SMALL.dimension for k in vec)
-        assert all(np.isfinite(v) and v >= 0.0 for v in vec.values())
+        row = _row(fixture_index, query, ctx)
+        assert row.shape == (SMALL.dimension,)
+        assert row[SMALL.family_offset("pad")] == 1.0
+        assert np.all(np.isfinite(row)) and np.all(row >= 0.0)
         noprox = document_scores(doc, query, fixture_index.stats, SMALL)
-        assert vec[0] == noprox[0]
-        assert vec[1] == noprox[1]
+        assert row[0] == noprox[0]
+        assert row[1] == noprox[1]
 
-    def test_proximity_families_require_context(self, fixture_index):
-        query = Query("q", [QueryTerm("python")])
-        doc = fixture_index.documents["d01"]
-        with pytest.raises(FeatureError, match="context"):
-            build_feature_vector(doc, None, query, fixture_index.stats, SMALL)
-
-    def test_noprox_only_layout_accepts_missing_context(self, fixture_index):
+    def test_noprox_only_layout_row(self, fixture_index):
         layout = FeatureLayout(families=("noprox", "pad"))
-        query = Query("q", [QueryTerm("python")])
-        doc = fixture_index.documents["d01"]
-        vec = build_feature_vector(doc, None, query, fixture_index.stats, layout)
-        assert layout.dimension == 3
-        assert vec[2] == 1.0
-
-    def test_context_doc_mismatch_rejected(self, fixture_index):
         query = Query("q", [QueryTerm("python")])
         fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)
-        other = fixture_index.documents["d02"]
-        with pytest.raises(FeatureError, match="doc"):
-            build_feature_vector(other, ctx, query, fixture_index.stats, SMALL)
+        row = _row(fixture_index, query, ctx, layout)
+        assert layout.dimension == 3
+        assert row[2] == 1.0
 
-    def test_context_matrix_rows_match_vectors(self, fixture_index):
+    def test_context_matrix_rows_match_single_context_rows(self, fixture_index):
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
         cand = find_candidates(fixture_index, query)
         contexts = cand.support["guido"]
         matrix = context_matrix(fixture_index, query, contexts, SMALL)
         assert matrix.shape == (len(contexts), SMALL.dimension)
         for row, ctx in zip(matrix, contexts):
-            doc = fixture_index.documents[ctx.doc_id]
-            vec = build_feature_vector(doc, ctx, query, fixture_index.stats, SMALL)
-            assert np.array_equal(row, to_dense(vec, SMALL.dimension))
+            assert row.tobytes() == _row(fixture_index, query, ctx).tobytes()
 
     def test_empty_context_list_gives_empty_matrix(self, fixture_index):
         query = Query("q", [QueryTerm("python")])
@@ -300,7 +293,7 @@ def synthetic_corpus():
 
 class TestDenseRowsMatchDictOracle:
     """``context_matrix`` against the per-context dict featurizer it
-    replaced, bit for bit, and ``build_feature_vector`` against its dicts."""
+    replaced, bit for bit."""
 
     @staticmethod
     def _check(index, queries, layout, granularity, params):
@@ -312,13 +305,6 @@ class TestDenseRowsMatchDictOracle:
                 want = oracles.feature_stack(index, query, contexts, layout, params.k1, params.b)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (query.query_id, eid)
-                for ctx in contexts:
-                    doc = index.documents[ctx.doc_id]
-                    got_vector = build_feature_vector(doc, ctx, query, index.stats, layout, params)
-                    want_vector = oracles.feature_dict(
-                        doc, ctx, query, index.stats, layout, params.k1, params.b
-                    )
-                    assert got_vector == want_vector
                 rows += len(contexts)
         assert rows > 0
 
@@ -389,9 +375,6 @@ class TestStatisticsAndValidation:
         monkeypatch.setattr(features, "document_scores", lambda *args: {0: math.nan})
         with pytest.raises(FeatureError, match=r"'qnan'.*'d01'.*nan"):
             context_matrix(fixture_index, query, contexts, SMALL)
-        doc = fixture_index.documents["d01"]
-        with pytest.raises(FeatureError, match=r"'qnan'.*'d01'.*nan"):
-            build_feature_vector(doc, contexts[0], query, fixture_index.stats, SMALL)
 
 
 class TestIdfBoundaryValues:
