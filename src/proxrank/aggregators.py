@@ -26,7 +26,7 @@ hosts the rank-fusion aggregates and the language-model baselines.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -367,6 +367,7 @@ def balog2_score(
     Each context is scored as a document: prod_t Pr(t | context)^n(t, q)
     with Jelinek-Mercer smoothing (1 - lam) * tf/len + lam * cf/collection.
     Boolean entity-context association, so context scores just add up.
+    A window's term counts are read from the postings by bisection.
     """
     if not contexts:
         raise AggregationError("balog2 needs a non-empty support set")
@@ -377,13 +378,14 @@ def balog2_score(
     clen = max(stats.collection_len, 1)
     scores = []
     for ctx in contexts:
-        lo, hi = ctx.window
-        tokens = index.documents[ctx.doc_id].tokens[lo:hi]
-        counts = Counter(tokens)
-        length = max(len(tokens), 1)
+        # The window's token positions, clipped to the document as a slice is.
+        span = range(len(index.documents[ctx.doc_id].tokens))[slice(*ctx.window)]
+        length = max(len(span), 1)
         log_prob = 0.0
         for term, n in counts_q.items():
-            p = (1.0 - smoothing) * counts.get(term, 0) / length
+            post = index.postings.get(term, {}).get(ctx.doc_id, ())
+            tf = bisect_left(post, span.stop) - bisect_left(post, span.start) if span else 0
+            p = (1.0 - smoothing) * tf / length
             p += smoothing * stats.cf.get(term, 0) / clen
             if p <= 0.0:
                 log_prob = -math.inf
@@ -391,6 +393,23 @@ def balog2_score(
             log_prob += n * math.log(p)
         scores.append(math.exp(log_prob) if log_prob > -math.inf else 0.0)
     return float(np.sum(np.sort(np.asarray(scores))))
+
+
+def _positional_masses(
+    length: int, center: int, width: float, positions: Mapping[str, Sequence[int]]
+) -> dict[str, float]:
+    # The one copy of the kernel formula: each term's kernel mass at its
+    # positions over the mass of every position of the document.  The
+    # positions must ascend, so that a mass has the same bits whether they
+    # come from the postings or from a pass over the tokens.
+    offsets = np.arange(length, dtype=float)
+    kernel = np.exp(-((offsets - float(center)) ** 2) / (2.0 * width * width))
+    denom = float(kernel.sum())
+    out: dict[str, float] = {}
+    for term, where in positions.items():
+        numer = float(kernel[np.asarray(where, dtype=np.intp)].sum()) if len(where) else 0.0
+        out[term] = numer / denom if denom > 0.0 else 0.0
+    return out
 
 
 def positional_term_distribution(
@@ -403,20 +422,17 @@ def positional_term_distribution(
     kernel over every position, so the result is the probability mass the
     model puts on each requested term.  Only relative offsets i - center
     matter, which is exactly the baseline's blind spot: translating the
-    whole geometry leaves the distribution unchanged.
+    whole geometry leaves the distribution unchanged.  This function
+    finds the occurrences in ``tokens``; :func:`petkova_score` reads them
+    from the postings and shares the kernel.
     """
     if width <= 0.0:
         raise AggregationError(f"kernel width must be positive, got {width}")
-    positions = np.arange(len(tokens), dtype=float)
-    kernel = np.exp(-((positions - float(center)) ** 2) / (2.0 * width * width))
-    denom = float(kernel.sum())
-    out: dict[str, float] = {}
-    token_arr = np.asarray(tokens, dtype=object)
-    for term in terms:
-        mask = token_arr == term
-        numer = float(kernel[mask].sum()) if mask.any() else 0.0
-        out[term] = numer / denom if denom > 0.0 else 0.0
-    return out
+    where: dict[str, list[int]] = {term: [] for term in terms}
+    for i, tok in enumerate(tokens):
+        if tok in where:
+            where[tok].append(i)
+    return _positional_masses(len(tokens), center, width, where)
 
 
 def petkova_score(
@@ -432,7 +448,7 @@ def petkova_score(
     the full document), smooths it against the collection, averages the
     per-context models into one entity model, and takes the query
     likelihood under that single model (product over terms outside the
-    sum over contexts).
+    sum over contexts).  Term positions come from the postings.
     """
     if not contexts:
         raise AggregationError("petkova needs a non-empty support set")
@@ -446,8 +462,9 @@ def petkova_score(
     clen = max(stats.collection_len, 1)
     per_term = {t: [] for t in terms}
     for ctx in contexts:
-        tokens = index.documents[ctx.doc_id].tokens
-        positional = positional_term_distribution(tokens, ctx.mention_offset, kernel_width, terms)
+        where = {t: index.postings.get(t, {}).get(ctx.doc_id, ()) for t in terms}
+        length = len(index.documents[ctx.doc_id].tokens)
+        positional = _positional_masses(length, ctx.mention_offset, kernel_width, where)
         for t in terms:
             p = (1.0 - smoothing) * positional[t] + smoothing * stats.cf.get(t, 0) / clen
             per_term[t].append(p)

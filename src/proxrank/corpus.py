@@ -10,9 +10,11 @@ the nearest edge of the mention span, floored at 1.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import accumulate, islice
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -103,8 +105,10 @@ class QueryTerm:
         if not self.text.strip():
             raise CorpusError("query term with empty text")
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[str, ...]:
+        # Kept in the instance dict, outside the fields that equality,
+        # hashing and the query files see.
         return tuple(self.text.split())
 
     @property
@@ -497,15 +501,17 @@ def _context_from_occurrences(
     occurrences: Mapping[str, tuple[int, list[int]]],
     window: int,
 ) -> Context | None:
+    # Positions are sorted, and the distance to the mention falls along
+    # the occurrences that end before it and rises from the first one
+    # that does not, so the nearest is one of the two around that point.
     matches: dict[str, int] = {}
     for text, (length, positions) in occurrences.items():
-        best: int | None = None
-        for p in positions:
-            d = _span_distance(p, length, mention.start, mention.end)
-            if d <= window and (best is None or d < best):
-                best = d
-        if best is not None:
-            matches[text] = best
+        k = bisect_left(positions, mention.start - length + 1)
+        near = positions[max(k - 1, 0) : k + 1]
+        if near:
+            best = min(_span_distance(p, length, mention.start, mention.end) for p in near)
+            if best <= window:
+                matches[text] = best
     if not matches:
         return None
     lo = max(0, mention.start - window)
@@ -555,6 +561,12 @@ def find_candidates(
     same document, and (given a target type and a catalog) the entity
     carries the query's target type.  Output is independent of document
     processing order.
+
+    Reads come from the positional index, not from document scans:
+    occurrences are the postings (a phrase is checked token by token only
+    at its first token's postings), only the mentions some occurrence can
+    reach are visited, and each term's nearest occurrence is found by
+    bisection.
     """
     config = config or RetrievalConfig()
     index.warm_query(query)
@@ -572,11 +584,13 @@ def find_candidates(
     support: dict[str, list[Context]] = defaultdict(list)
     for doc_id in sorted(cand_docs):
         doc = index.documents[doc_id]
+        if not doc.mentions:
+            continue
         occurrences = {
             t.text: (len(t.tokens), index.occurrences(doc_id, t.tokens)) for t in terms
         }
         here: list[Context] = []
-        for mention in doc.mentions:
+        for mention in _reachable_mentions(doc.mentions, occurrences.values(), config.window):
             if check_type and query.target_type not in index.entity_types.get(
                 mention.entity_id, frozenset()
             ):
@@ -592,6 +606,28 @@ def find_candidates(
     for contexts in support.values():
         contexts.sort(key=lambda c: (c.doc_id, c.mention_offset))
     return CandidateSet(query_id=query.query_id, support=dict(sorted(support.items())))
+
+
+def _reachable_mentions(
+    mentions: Sequence[Mention], occurrences: Iterable[tuple[int, list[int]]], window: int
+) -> list[Mention]:
+    # An occurrence [p, p + length) lies within the window of mention
+    # [start, end) when start <= p + length - 1 + window and
+    # end >= p - window + 1.  No span is wider than ``reach``, so such a
+    # mention starts in [p - window + 1 - reach, p + length - 1 + window]:
+    # a range of the sorted starts, marked on a difference array.  The
+    # reached mentions keep their document order.
+    starts = [m.start for m in mentions]
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    starts = [starts[i] for i in order]
+    reach = max([m.end - m.start for m in mentions])
+    marks = [0] * (len(order) + 1)
+    for length, positions in occurrences:
+        for p in positions:
+            marks[bisect_left(starts, p - window + 1 - reach)] += 1
+            marks[bisect_right(starts, p + length - 1 + window)] -= 1
+    reached = sorted(i for i, depth in zip(order, accumulate(marks)) if depth)
+    return [mentions[i] for i in reached]
 
 
 def _best_per_entity(stats: CorpusStats, query: Query, contexts: list[Context]) -> list[Context]:

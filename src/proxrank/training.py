@@ -126,7 +126,6 @@ class PreparedQuery:
     bad: tuple[int, ...]
     judged_good: frozenset[str]
     judged_bad: frozenset[str]
-    segments: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         counts = np.diff(self.offsets)
@@ -137,7 +136,6 @@ class PreparedQuery:
             )
         if np.any(counts <= 0):
             raise TrainingError(f"query {self.query_id!r}: entity with no context rows")
-        self.segments = np.repeat(np.arange(len(counts)), counts)
 
     @classmethod
     def from_matrices(

@@ -1,17 +1,20 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written directly from the defining formulas with
-plain loops, no shared code with the package under test, except
-:func:`objective_per_query`: it keeps the replaced query-by-query
-training objective, on the package's kernel, as the reference for the
-stacked one.  Slow is fine; these run on small instances only.
+plain loops, no shared code with the package under test, except two
+kept replacements: :func:`objective_per_query`, the query-by-query
+training objective on the package's kernel, the reference for the
+stacked one; and the document scanners that the positional-index reads
+replaced (:func:`find_candidates_scan`, :func:`balog2_scan`,
+:func:`petkova_scan`), on the package's data types.  Slow is fine;
+these run on small instances only.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.integrate import quad
@@ -388,7 +391,8 @@ def objective_per_query(weights, prepared, spec, config, layout=None) -> tuple[f
         gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
         good_idx = np.asarray(pq.good, dtype=int)[gi]
         bad_idx = np.asarray(pq.bad, dtype=int)[bi]
-        V, build = segment_aggregate(spec, context_scores(w, pq.stack), pq.offsets, pq.segments)
+        segments = np.repeat(np.arange(pq.n_entities), np.diff(pq.offsets))
+        V, build = segment_aggregate(spec, context_scores(w, pq.stack), pq.offsets, segments)
         sh, sig = soft_hinge(1.0 + V[bad_idx] - V[good_idx])
         loss += float(np.sum(np.sort(sh))) / sh.shape[0]
         entity_coef = np.zeros(pq.n_entities)
@@ -607,3 +611,161 @@ def phrase_starts_brute(tokens, phrase) -> list[int]:
     """Every position where the phrase starts, by comparing each window."""
     n = len(phrase)
     return [p for p in range(len(tokens) - n + 1) if list(tokens[p : p + n]) == list(phrase)]
+
+
+# -- document scanners ---------------------------------------------------------
+#
+# Retrieval and the two language-model baselines as they read documents
+# before the positional index served them: every mention of every
+# candidate document is visited and every occurrence compared, each
+# baseline window is counted token by token, and the positional model
+# masks the whole document once per term.
+
+
+def context_scan(document, mention, occurrences, window):
+    """The context of one mention from every occurrence of every term;
+    ``occurrences`` maps term text to (token length, start positions)."""
+    from proxrank.corpus import Context
+
+    matches = {}
+    for text, (length, positions) in occurrences.items():
+        best = None
+        for p in positions:
+            if p + length <= mention.start:
+                d = mention.start - (p + length - 1)
+            elif p >= mention.end:
+                d = p - (mention.end - 1)
+            else:
+                d = 1
+            if d <= window and (best is None or d < best):
+                best = d
+        if best is not None:
+            matches[text] = best
+    if not matches:
+        return None
+    lo = max(0, mention.start - window)
+    hi = min(len(document.tokens), mention.end + window)
+    offset = (mention.start + mention.end - 1) // 2
+    return Context(
+        doc_id=document.doc_id,
+        entity_id=mention.entity_id,
+        mention_offset=offset,
+        window=(lo, hi),
+        matches=matches,
+    )
+
+
+def find_candidates_scan(index, query, config=None):
+    """Candidate entities and contexts from a visit of every mention of
+    every document that holds a query term."""
+    from proxrank.corpus import (
+        BEST_PER_DOCUMENT,
+        CandidateSet,
+        RetrievalConfig,
+        _best_per_entity,
+    )
+
+    config = config or RetrievalConfig()
+    index.warm_query(query)
+    terms = query.distinct_terms()
+
+    term_docs = {t.text: index.docs_containing(t) for t in terms}
+    cand_docs = set()
+    for docs in term_docs.values():
+        cand_docs |= docs
+    for t in terms:
+        if t.required:
+            cand_docs &= term_docs[t.text]
+
+    check_type = bool(query.target_type) and bool(index.entity_types)
+    support = defaultdict(list)
+    for doc_id in sorted(cand_docs):
+        doc = index.documents[doc_id]
+        occurrences = {
+            t.text: (len(t.tokens), phrase_starts_brute(doc.tokens, t.tokens)) for t in terms
+        }
+        here = []
+        for mention in doc.mentions:
+            if check_type and query.target_type not in index.entity_types.get(
+                mention.entity_id, frozenset()
+            ):
+                continue
+            ctx = context_scan(doc, mention, occurrences, config.window)
+            if ctx is not None:
+                here.append(ctx)
+        if config.granularity == BEST_PER_DOCUMENT:
+            here = _best_per_entity(index.stats, query, here)
+        for ctx in here:
+            support[ctx.entity_id].append(ctx)
+
+    for contexts in support.values():
+        contexts.sort(key=lambda c: (c.doc_id, c.mention_offset))
+    return CandidateSet(query_id=query.query_id, support=dict(sorted(support.items())))
+
+
+def _query_unigrams(query) -> dict[str, int]:
+    counts = {}
+    for term in query.terms:
+        for tok in term.text.split():
+            counts[tok] = counts.get(tok, 0) + 1
+    return counts
+
+
+def balog2_scan(index, query, contexts, smoothing=0.5) -> float:
+    """Balog's model 2 with each context window's tokens counted."""
+    stats = index.stats
+    counts_q = _query_unigrams(query)
+    clen = max(stats.collection_len, 1)
+    scores = []
+    for ctx in contexts:
+        lo, hi = ctx.window
+        tokens = index.documents[ctx.doc_id].tokens[lo:hi]
+        counts = Counter(tokens)
+        length = max(len(tokens), 1)
+        log_prob = 0.0
+        for term, n in counts_q.items():
+            p = (1.0 - smoothing) * counts.get(term, 0) / length
+            p += smoothing * stats.cf.get(term, 0) / clen
+            if p <= 0.0:
+                log_prob = -math.inf
+                break
+            log_prob += n * math.log(p)
+        scores.append(math.exp(log_prob) if log_prob > -math.inf else 0.0)
+    return float(np.sum(np.sort(np.asarray(scores))))
+
+
+def positional_distribution_scan(tokens, center, width, terms) -> dict[str, float]:
+    """The Gaussian-kernel term distribution, each term's mass taken
+    through a mask over the whole token array."""
+    positions = np.arange(len(tokens), dtype=float)
+    kernel = np.exp(-((positions - float(center)) ** 2) / (2.0 * width * width))
+    denom = float(kernel.sum())
+    out = {}
+    token_arr = np.asarray(tokens, dtype=object)
+    for term in terms:
+        mask = token_arr == term
+        numer = float(kernel[mask].sum()) if mask.any() else 0.0
+        out[term] = numer / denom if denom > 0.0 else 0.0
+    return out
+
+
+def petkova_scan(index, query, contexts, kernel_width=25.0, smoothing=0.5) -> float:
+    """Petkova and Croft's positional baseline over masked documents."""
+    stats = index.stats
+    counts_q = _query_unigrams(query)
+    terms = sorted(counts_q)
+    clen = max(stats.collection_len, 1)
+    per_term = {t: [] for t in terms}
+    for ctx in contexts:
+        tokens = index.documents[ctx.doc_id].tokens
+        positional = positional_distribution_scan(tokens, ctx.mention_offset, kernel_width, terms)
+        for t in terms:
+            p = (1.0 - smoothing) * positional[t] + smoothing * stats.cf.get(t, 0) / clen
+            per_term[t].append(p)
+    log_prob = 0.0
+    for t in terms:
+        mean_p = float(np.sum(np.sort(np.asarray(per_term[t])))) / len(contexts)
+        if mean_p <= 0.0:
+            return 0.0
+        log_prob += counts_q[t] * math.log(mean_p)
+    return math.exp(log_prob)

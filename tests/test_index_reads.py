@@ -1,0 +1,232 @@
+"""Retrieval and the language-model baselines read from the positional
+index, checked against the document scanners they replaced.
+
+``oracles.find_candidates_scan``, ``oracles.context_scan``,
+``oracles.balog2_scan`` and ``oracles.petkova_scan`` visit every mention,
+compare every occurrence and count every window and document token.  The
+package must return the same contexts in the same order, and scores
+with the same bits (compared through ``float.hex``).
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from proxrank.aggregators import balog2_score, petkova_score, positional_term_distribution
+from proxrank.corpus import (
+    BEST_PER_DOCUMENT,
+    PER_MENTION,
+    Context,
+    Document,
+    Mention,
+    Query,
+    QueryTerm,
+    RetrievalConfig,
+    extract_context,
+    find_candidates,
+    read_queries,
+    write_queries,
+)
+from proxrank.synth import SynthParams, generate_synthetic
+
+import oracles
+from util import documents_to_index
+
+VOCAB = ("a", "b", "c", "d", "e")
+VOCAB_P = (0.4, 0.3, 0.15, 0.1, 0.05)
+TYPES = ("person", "place")
+
+
+def random_mentions(rng, n):
+    """Overlapping, nested, duplicate-offset and unsorted mention spans;
+    now and then one much wider than the rest."""
+    mentions = []
+    for _ in range(int(rng.integers(0, 9))):
+        start = int(rng.integers(0, n))
+        width = int(rng.integers(1, 25)) if rng.random() < 0.1 else int(rng.integers(1, 6))
+        mentions.append(Mention(f"e{rng.integers(0, 6)}", start, min(n, start + width)))
+    for m in list(mentions):
+        r = rng.random()
+        if r < 0.2:  # same start, maybe another end and another entity
+            end = min(n, m.start + int(rng.integers(1, 4)))
+            mentions.append(Mention(f"e{rng.integers(0, 6)}", m.start, end))
+        elif r < 0.35 and m.end - m.start > 2:
+            mentions.append(Mention(f"e{rng.integers(0, 6)}", m.start + 1, m.end - 1))
+    order = rng.permutation(len(mentions))
+    return tuple(mentions[i] for i in order)
+
+
+def random_corpus(rng):
+    documents = []
+    for k in range(int(rng.integers(1, 7))):
+        n = int(rng.integers(1, 90))
+        tokens = tuple(VOCAB[i] for i in rng.choice(len(VOCAB), size=n, p=VOCAB_P))
+        documents.append(Document(f"d{k}", tokens, random_mentions(rng, n)))
+    catalog = None
+    if rng.random() < 0.6:
+        catalog = [
+            {"entity_id": f"e{e}", "types": [t for t in TYPES if rng.random() < 0.5]}
+            for e in range(6)
+        ]
+    return documents, documents_to_index(documents, catalog)
+
+
+def random_query(rng):
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.3:
+            text = " ".join(VOCAB[i] for i in rng.integers(0, len(VOCAB), int(rng.integers(2, 4))))
+        elif rng.random() < 0.1:
+            text = "zz"  # in no document
+        else:
+            text = VOCAB[int(rng.choice(len(VOCAB), p=VOCAB_P))]
+        terms.append(QueryTerm(text, required=bool(rng.random() < 0.25)))
+    target = TYPES[int(rng.integers(0, 2))] if rng.random() < 0.3 else None
+    return Query("q", terms, target_type=target)
+
+
+def listing(candidates):
+    """Everything a candidate set holds, in its order, dict orders included."""
+    return [(eid, [context_key(c) for c in ctxs]) for eid, ctxs in candidates.support.items()]
+
+
+def context_key(ctx):
+    if ctx is None:
+        return None
+    return (ctx.doc_id, ctx.entity_id, ctx.mention_offset, ctx.window, list(ctx.matches.items()))
+
+
+def assert_scores_match(index, query, support, smoothing, width):
+    for eid, contexts in support.items():
+        got = balog2_score(index, query, contexts, smoothing=smoothing)
+        want = oracles.balog2_scan(index, query, contexts, smoothing=smoothing)
+        assert got.hex() == want.hex(), ("balog2", eid)
+        got = petkova_score(index, query, contexts, kernel_width=width, smoothing=smoothing)
+        want = oracles.petkova_scan(index, query, contexts, kernel_width=width, smoothing=smoothing)
+        assert got.hex() == want.hex(), ("petkova", eid)
+
+
+class TestAgainstScanners:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_corpora(self, seed):
+        rng = np.random.default_rng(seed)
+        contexts = 0
+        for _ in range(40):
+            documents, index = random_corpus(rng)
+            query = random_query(rng)
+            for granularity in (PER_MENTION, BEST_PER_DOCUMENT):
+                config = RetrievalConfig(window=int(rng.integers(1, 16)), granularity=granularity)
+                got = find_candidates(index, query, config)
+                want = oracles.find_candidates_scan(index, query, config)
+                assert got.query_id == want.query_id
+                assert listing(got) == listing(want)
+                contexts += sum(len(c) for c in got.support.values())
+                smoothing = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+                width = float(rng.choice([0.5, 3.0, 25.0]))
+                assert_scores_match(index, query, got.support, smoothing, width)
+        assert contexts > 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extract_context(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(40):
+            documents, _ = random_corpus(rng)
+            query = random_query(rng)
+            window = int(rng.integers(1, 16))
+            for doc in documents:
+                occurrences = {
+                    t.text: (len(t.tokens), oracles.phrase_starts_brute(doc.tokens, t.tokens))
+                    for t in query.distinct_terms()
+                }
+                for mention in doc.mentions:
+                    got = extract_context(doc, mention, query, window)
+                    want = oracles.context_scan(doc, mention, occurrences, window)
+                    assert context_key(got) == context_key(want)
+
+    def test_windows_clipped_as_slices(self):
+        # Hand-built contexts may hold windows a retrieval never makes;
+        # the counts follow the slice tokens[lo:hi].
+        rng = np.random.default_rng(7)
+        tokens = tuple(VOCAB[i] for i in rng.choice(len(VOCAB), size=30, p=VOCAB_P))
+        index = documents_to_index([Document("d", tokens, (Mention("e", 3, 4),))])
+        query = Query("q", [QueryTerm("a"), QueryTerm("b c"), QueryTerm("a")])
+        windows = [
+            (0, 30), (0, 1), (29, 30), (-5, 10), (-40, 40), (10, 5), (25, 99), (30, 31), (-3, -1)
+        ]
+        for window in windows:
+            contexts = [Context("d", "e", 3, window, {"a": 1})]
+            for smoothing in (0.0, 0.5):
+                got = balog2_score(index, query, contexts, smoothing=smoothing)
+                want = oracles.balog2_scan(index, query, contexts, smoothing=smoothing)
+                assert got.hex() == want.hex(), (window, smoothing)
+
+    def test_positional_distribution(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(0, 120))
+            tokens = [VOCAB[i] for i in rng.choice(len(VOCAB), size=n, p=VOCAB_P)]
+            center = int(rng.integers(-10, n + 10))
+            width = float(rng.choice([0.5, 1.0, 7.0, 25.0]))
+            terms = ["a", "e", "zz", "a"]
+            got = positional_term_distribution(tokens, center, width, terms)
+            want = oracles.positional_distribution_scan(tokens, center, width, terms)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("granularity", [PER_MENTION, BEST_PER_DOCUMENT])
+    def test_baseline_read_shaped_corpus(self, granularity):
+        # The benchmark's baseline-read generator settings with fewer
+        # queries and documents: long filler documents without mentions.
+        params = SynthParams(
+            num_queries=8, num_docs=16, num_filler_docs=24, filler_len=800,
+            count_skew=0.1, rarity_skew=0.1, proximity_skew=0.2,
+        )
+        documents, queries, _ = generate_synthetic(params, seed=101)
+        index = documents_to_index(documents)
+        config = RetrievalConfig(window=30, granularity=granularity)
+        contexts = 0
+        for query in queries:
+            got = find_candidates(index, query, config)
+            assert listing(got) == listing(oracles.find_candidates_scan(index, query, config))
+            assert_scores_match(index, query, got.support, 0.5, 25.0)
+            contexts += sum(len(c) for c in got.support.values())
+        assert contexts > 50
+
+
+class TestQueryTermTokens:
+    def test_tokens_are_split_once(self):
+        term = QueryTerm("new york")
+        assert term.tokens == ("new", "york")
+        assert term.tokens is term.tokens
+        assert term.is_phrase and not QueryTerm("york").is_phrase
+
+    def test_equality_hashing_and_repr_ignore_the_cached_tokens(self):
+        seen, fresh = QueryTerm("new york", required=True), QueryTerm("new york", required=True)
+        assert seen.tokens == ("new", "york")
+        assert seen == fresh and hash(seen) == hash(fresh) and repr(seen) == repr(fresh)
+        assert {fresh: 1}[seen] == 1
+        assert seen != QueryTerm("new york") and seen != QueryTerm("new  york", required=True)
+        assert dataclasses.astuple(seen) == ("new york", True)
+        assert dataclasses.replace(seen, text="boston").tokens == ("boston",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seen.text = "boston"
+
+    def test_query_files_round_trip(self, tmp_path):
+        queries = [
+            Query("q1", [QueryTerm("new york", required=True), QueryTerm("city")], "place"),
+            Query("q2", [QueryTerm("a"), QueryTerm("a")]),
+        ]
+        before = os.path.join(tmp_path, "before.jsonl")
+        after = os.path.join(tmp_path, "after.jsonl")
+        write_queries(queries, before)
+        for query in queries:
+            for term in query.terms:
+                assert term.tokens
+        write_queries(queries, after)
+        with open(before) as fh, open(after) as gh:
+            assert fh.read() == gh.read()
+        back = read_queries(after)
+        assert back == queries
+        assert [t.tokens for t in back[0].terms] == [("new", "york"), ("city",)]

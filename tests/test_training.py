@@ -100,7 +100,6 @@ class TestPreparedQuery:
             judged_bad=["b"],
         )
         assert pq.offsets.tolist() == [0, 2, 5]
-        assert pq.segments.tolist() == [0, 0, 1, 1, 1]
         assert pq.good == (0,) and pq.bad == (1,)
         assert pq.trainable
         assert np.array_equal(pq.matrix(1), pq.stack[2:5])
