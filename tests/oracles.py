@@ -1,12 +1,13 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written directly from the defining formulas with
-plain loops, no shared code with the package under test, except two
+plain loops, no shared code with the package under test, except three
 kept replacements: :func:`objective_per_query`, the query-by-query
 training objective on the package's kernel, the reference for the
-stacked one; and the document scanners that the positional-index reads
+stacked one; the document scanners that the positional-index reads
 replaced (:func:`find_candidates_scan`, :func:`balog2_scan`,
-:func:`petkova_scan`), on the package's data types.  Slow is fine;
+:func:`petkova_scan`); and the ingest that the compact index replaced
+(:func:`ingest_scan`), on the package's data types.  Slow is fine;
 these run on small instances only.
 """
 
@@ -669,7 +670,10 @@ def find_candidates_scan(index, query, config=None):
     index.warm_query(query)
     terms = query.distinct_terms()
 
-    term_docs = {t.text: index.docs_containing(t) for t in terms}
+    term_docs = {
+        t.text: {d for d, doc in index.documents.items() if phrase_starts_brute(doc.tokens, t.tokens)}
+        for t in terms
+    }
     cand_docs = set()
     for docs in term_docs.values():
         cand_docs |= docs
@@ -769,3 +773,90 @@ def petkova_scan(index, query, contexts, kernel_width=25.0, smoothing=0.5) -> fl
             return 0.0
         log_prob += counts_q[t] * math.log(mean_p)
     return math.exp(log_prob)
+
+
+# -- ingest --------------------------------------------------------------------
+
+
+def ingest_scan(records, catalog=None):
+    """The index as ingest built it before it was made compact: one
+    lowercased string per token occurrence, positions from ``enumerate``,
+    list postings grown one token at a time."""
+    from itertools import islice
+
+    from proxrank.corpus import (
+        CorpusError,
+        CorpusIndex,
+        CorpusStats,
+        _parse_catalog,
+        _parse_record,
+    )
+
+    documents = {}
+    postings = defaultdict(dict)
+    entity_mentions = defaultdict(list)
+    doc_len = {}
+    cf = defaultdict(int)
+
+    for lineno, rec in enumerate(records, 1):
+        rec = _parse_record(rec, lineno)
+        if rec is None:
+            continue
+        try:
+            doc = _document_scan(rec)
+        except CorpusError as exc:
+            raise CorpusError(f"record {lineno}: {exc}") from None
+        if doc.doc_id in documents:
+            raise CorpusError(f"record {lineno}: duplicate doc_id {doc.doc_id!r}")
+        documents[doc.doc_id] = doc
+        doc_len[doc.doc_id] = len(doc.tokens)
+        known = len(postings)
+        for pos, tok in enumerate(doc.tokens):
+            postings[tok].setdefault(doc.doc_id, []).append(pos)
+            cf[tok] += 1
+        bad = [t for t in islice(reversed(postings), len(postings) - known) if t.split() != [t]]
+        if bad:
+            k = min(doc.tokens.index(t) for t in bad)
+            raise CorpusError(
+                f"record {lineno}: doc {doc.doc_id!r}: token {k} is empty or contains "
+                f"whitespace: {doc.tokens[k]!r}"
+            )
+        for m in doc.mentions:
+            entity_mentions[m.entity_id].append((doc.doc_id, m))
+
+    stats = CorpusStats(
+        num_docs=len(documents),
+        df={t: len(d) for t, d in postings.items()},
+        cf=dict(cf),
+        collection_len=sum(doc_len.values()),
+        doc_len=doc_len,
+    )
+    entity_types = _parse_catalog(catalog) if catalog is not None else {}
+    return CorpusIndex(documents, dict(postings), stats, dict(entity_mentions), entity_types)
+
+
+def _document_scan(rec):
+    from collections.abc import Mapping
+
+    from proxrank.corpus import CorpusError, Document, Mention
+
+    doc_id = rec.get("doc_id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise CorpusError("missing or invalid doc_id")
+    tokens = rec.get("tokens")
+    if not isinstance(tokens, list) or any(not isinstance(t, str) for t in tokens):
+        raise CorpusError(f"doc {doc_id!r}: tokens must be a list of strings")
+    mentions = []
+    for m in rec.get("mentions", []):
+        if not isinstance(m, Mapping):
+            raise CorpusError(f"doc {doc_id!r}: mention must be an object")
+        try:
+            mention = Mention(
+                entity_id=str(m["entity_id"]), start=int(m["start"]), end=int(m["end"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"doc {doc_id!r}: bad mention record: {exc}") from None
+        mentions.append(mention)
+    doc = Document(doc_id=doc_id, tokens=[t.lower() for t in tokens], mentions=mentions)
+    doc.validate()
+    return doc

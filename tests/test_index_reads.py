@@ -10,10 +10,12 @@ with the same bits (compared through ``float.hex``).
 
 import dataclasses
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from proxrank import corpus
 from proxrank.aggregators import balog2_score, petkova_score, positional_term_distribution
 from proxrank.corpus import (
     BEST_PER_DOCUMENT,
@@ -26,6 +28,7 @@ from proxrank.corpus import (
     RetrievalConfig,
     extract_context,
     find_candidates,
+    phrase_starts,
     read_queries,
     write_queries,
 )
@@ -193,6 +196,40 @@ class TestAgainstScanners:
             assert_scores_match(index, query, got.support, 0.5, 25.0)
             contexts += sum(len(c) for c in got.support.values())
         assert contexts > 50
+
+
+class TestPhraseChecks:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_each_phrase_is_checked_once_per_first_token_document(self, warm, monkeypatch):
+        # Building the candidate set and the contexts share one check of
+        # each document the phrase's first token occurs in, and a cold
+        # call caches the phrase's document frequency from that check.
+        rng = np.random.default_rng(31)
+        checked = []
+
+        def counting(tokens, phrase, candidates):
+            checked.append(tuple(phrase))
+            return phrase_starts(tokens, phrase, candidates)
+
+        monkeypatch.setattr(corpus, "phrase_starts", counting)
+        total = 0
+        for _ in range(60):
+            documents, index = random_corpus(rng)
+            query = random_query(rng)
+            if warm:
+                index.warm_query(query)
+            checked.clear()
+            config = RetrievalConfig(window=int(rng.integers(1, 16)))
+            got = find_candidates(index, query, config)
+            phrases = [t.tokens for t in query.distinct_terms() if t.is_phrase]
+            want = Counter({p: len(index.postings.get(p[0], {})) for p in phrases})
+            assert Counter(checked) == +want
+            total += len(checked)
+            for p in phrases:
+                brute = sum(bool(oracles.phrase_starts_brute(d.tokens, p)) for d in documents)
+                assert index.stats.phrase_df[p] == brute
+            assert listing(got) == listing(oracles.find_candidates_scan(index, query, config))
+        assert total > 50
 
 
 class TestQueryTermTokens:
