@@ -62,6 +62,17 @@ EXP_CLAMP = 500.0  # keeps exp() finite; raw scores this large are already broke
 
 NUM_DECILES = 10
 
+# Each aggregator name and its (operator, transform), for AggregatorSpec.
+_NAMED = {
+    "sum": ("sum", "identity"),
+    "avg": ("avg", "identity"),
+    "softmax": ("sum", "exp"),
+    "softcount": ("sum", "log1p"),
+    "count": ("sum", "indicator"),
+    "softor": ("softor", "identity"),
+    "softcutoff": ("softcutoff", "identity"),
+}
+
 
 class AggregationError(ValueError):
     """Invalid aggregation request."""
@@ -125,18 +136,9 @@ class AggregatorSpec:
 
     @classmethod
     def from_name(cls, name: str, decay: Sequence[float] | None = None) -> "AggregatorSpec":
-        named = {
-            "sum": ("sum", "identity"),
-            "avg": ("avg", "identity"),
-            "softmax": ("sum", "exp"),
-            "softcount": ("sum", "log1p"),
-            "count": ("sum", "indicator"),
-            "softor": ("softor", "identity"),
-            "softcutoff": ("softcutoff", "identity"),
-        }
-        if name not in named:
+        if name not in _NAMED:
             raise AggregationError(f"unknown aggregator name {name!r}")
-        op, transform = named[name]
+        op, transform = _NAMED[name]
         if op == "softcutoff":
             return cls(op, transform, tuple(float(d) for d in decay or ()))
         if decay is not None:
@@ -145,18 +147,12 @@ class AggregatorSpec:
 
     @property
     def name(self) -> str:
-        reverse = {
-            ("sum", "identity"): "sum",
-            ("avg", "identity"): "avg",
-            ("sum", "exp"): "softmax",
-            ("sum", "log1p"): "softcount",
-            ("sum", "indicator"): "count",
-        }
-        if self.operator == "softor":
-            return "softor"
-        if self.operator == "softcutoff":
-            return "softcutoff"
-        return reverse.get((self.operator, self.transform), f"{self.operator}+{self.transform}")
+        """The :meth:`from_name` name of this operator and transform;
+        softor and softcutoff keep their names under any transform."""
+        if self.operator in ("softor", "softcutoff"):
+            return self.operator
+        pair = (self.operator, self.transform)
+        return next((n for n, p in _NAMED.items() if p == pair), "+".join(pair))
 
 
 def _check_matrix(weights: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

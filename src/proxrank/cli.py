@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -182,14 +183,6 @@ def _layout_from_args(args: argparse.Namespace) -> FeatureLayout:
     return FeatureLayout(**kwargs)
 
 
-def _retrieval_from_args(args: argparse.Namespace) -> RetrievalConfig:
-    return RetrievalConfig(window=args.window, granularity=args.granularity)
-
-
-def _bm25_from_args(args: argparse.Namespace) -> Bm25Params:
-    return Bm25Params(k1=args.k1, b=args.b)
-
-
 def _train_config_from_args(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         ridge_width=args.ridge,
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
     # None marks a setting not given, so that rank --model can tell an
-    # explicit flag from the default; _rank_settings supplies the defaults.
+    # explicit flag from the default; _retrieval_settings supplies the defaults.
     p.set_defaults(func=cmd_rank, **dict.fromkeys(_RANK_SETTINGS))
 
     p = sub.add_parser("eval", help="score a run file against judgments")
@@ -419,16 +412,18 @@ def cmd_synth(args: argparse.Namespace, stage: dict) -> list[str]:
     return ["corpus.jsonl", "queries.jsonl", "qrels.txt"]
 
 
-def _load_training_inputs(
+def _load_inputs(
     args: argparse.Namespace, stage: dict
 ) -> tuple[CorpusIndex, list[Query], Judgments]:
+    """The corpus, the queries, and the judgments where the command reads any."""
     stage["name"] = "load-corpus"
     index = load_corpus(args.corpus, args.catalog)
     stage["name"] = "load-queries"
     queries = read_queries(args.queries)
+    if "qrels" not in args:
+        return index, queries, Judgments()
     stage["name"] = "load-qrels"
-    judgments = read_qrels(args.qrels)
-    return index, queries, judgments
+    return index, queries, read_qrels(args.qrels)
 
 
 def _prepare_system(
@@ -439,14 +434,32 @@ def _prepare_system(
     judgments: Judgments,
 ) -> tuple[list[PreparedQuery], FeatureLayout | None, AggregatorSpec]:
     stage["name"] = "featurize"
-    retrieval = _retrieval_from_args(args)
-    bm25 = _bm25_from_args(args)
-    if args.system == "macdonald":
-        prepared = prepare_macdonald(index, queries, judgments, retrieval, bm25)
-        return prepared, None, AggregatorSpec.from_name("sum")
-    layout = _layout_from_args(args)
-    prepared = prepare_queries(index, queries, judgments, layout, retrieval, bm25)
-    return prepared, layout, AggregatorSpec.from_name(args.aggregator)
+    retrieval, bm25 = _retrieval_settings(args)
+    prepared, layout = _prepare(
+        args.system, partial(_layout_from_args, args), index, queries, judgments, retrieval, bm25
+    )
+    return prepared, layout, AggregatorSpec.from_name("sum" if layout is None else args.aggregator)
+
+
+def _prepare(
+    system: str | None,
+    make_layout: Callable[[], FeatureLayout | None],
+    index: CorpusIndex,
+    queries: Sequence[Query],
+    judgments: Judgments,
+    retrieval: RetrievalConfig,
+    bm25: Bm25Params,
+) -> tuple[list[PreparedQuery], FeatureLayout | None]:
+    """The one choice between the trained systems: macdonald's voting rows,
+    one per entity and with no layout, or context rows under
+    ``make_layout()``, which macdonald never calls.  Returns the prepared
+    queries and the layout."""
+    if system == "macdonald":
+        return prepare_macdonald(index, queries, judgments, retrieval, bm25), None
+    layout = make_layout()
+    if layout is None:
+        raise TrainingError("model carries no feature layout and no known system")
+    return prepare_queries(index, queries, judgments, layout, retrieval, bm25), layout
 
 
 def _fit_with_optional_cutoff(
@@ -469,7 +482,7 @@ def _fit_with_optional_cutoff(
 
 
 def cmd_train(args: argparse.Namespace, stage: dict) -> list[str]:
-    index, queries, judgments = _load_training_inputs(args, stage)
+    index, queries, judgments = _load_inputs(args, stage)
     prepared, layout, spec = _prepare_system(args, stage, index, queries, judgments)
     stage["name"] = "train"
     config = _train_config_from_args(args)
@@ -490,11 +503,11 @@ def cmd_train(args: argparse.Namespace, stage: dict) -> list[str]:
 _RANK_SETTINGS = ("window", "granularity", "k1", "b")
 
 
-def _rank_settings(
+def _retrieval_settings(
     args: argparse.Namespace, meta: Mapping | None = None
 ) -> tuple[RetrievalConfig, Bm25Params]:
-    """Retrieval and BM25 settings for rank: the model's where its ``meta``
-    records them, else the flags, else the defaults.  A flag given
+    """Retrieval and BM25 settings: the model's where its ``meta`` records
+    them (rank --model), else the flags, else the defaults.  A flag given
     explicitly that disagrees with the model is an error."""
     meta = meta or {}
     kept = {"window": meta.get("window"), "granularity": meta.get("granularity")}
@@ -514,33 +527,18 @@ def _rank_settings(
 
 
 def cmd_rank(args: argparse.Namespace, stage: dict) -> list[str]:
-    stage["name"] = "load-corpus"
-    index = load_corpus(args.corpus, args.catalog)
-    stage["name"] = "load-queries"
-    queries = read_queries(args.queries)
+    index, queries, no_judgments = _load_inputs(args, stage)
     stage["name"] = "rank"
     if args.model is not None:
         model = load_model(args.model)
-        retrieval, bm25 = _rank_settings(args, model.meta)
-        empty = Judgments()
-        if model.meta.get("system") == "macdonald":
-            prepared = prepare_macdonald(index, queries, empty, retrieval, bm25)
-        else:
-            if model.layout is None:
-                raise TrainingError("model carries no feature layout and no known system")
-            prepared = prepare_queries(index, queries, empty, model.layout, retrieval, bm25)
+        retrieval, bm25 = _retrieval_settings(args, model.meta)
+        system, make_layout = model.meta.get("system"), lambda: model.layout
+        prepared, _ = _prepare(system, make_layout, index, queries, no_judgments, retrieval, bm25)
         rankings = [rank_entities(pq.query_id, model_scores(model, pq)) for pq in prepared]
     else:
-        retrieval, bm25 = _rank_settings(args)
-        candidates = collect_candidates(index, queries, retrieval)
-        ranker = baseline_ranker(
-            args.baseline,
-            index,
-            bm25=bm25,
-            lm_lambda=args.lm_lambda,
-            kernel_width=args.kernel_width,
-        )
-        rankings = [ranker(qc) for qc in candidates]
+        retrieval, bm25 = _retrieval_settings(args)
+        ranker = baseline_ranker(args.baseline, index, bm25, args.lm_lambda, args.kernel_width)
+        rankings = [ranker(qc) for qc in collect_candidates(index, queries, retrieval)]
     stage["name"] = "write-artifacts"
     write_run(rankings, os.path.join(args.out, "run.txt"), tag=args.tag)
     return ["run.txt"]
@@ -566,19 +564,13 @@ def cmd_eval(args: argparse.Namespace, stage: dict) -> list[str]:
 
 
 def cmd_xval(args: argparse.Namespace, stage: dict) -> list[str]:
-    index, queries, judgments = _load_training_inputs(args, stage)
+    index, queries, judgments = _load_inputs(args, stage)
     name = args.name or args.system
     stage["name"] = "featurize"
     if args.system in BASELINE_SYSTEMS:
-        retrieval = _retrieval_from_args(args)
+        retrieval, bm25 = _retrieval_settings(args)
         items: Sequence = collect_candidates(index, queries, retrieval)
-        ranker = baseline_ranker(
-            args.system,
-            index,
-            bm25=_bm25_from_args(args),
-            lm_lambda=args.lm_lambda,
-            kernel_width=args.kernel_width,
-        )
+        ranker = baseline_ranker(args.system, index, bm25, args.lm_lambda, args.kernel_width)
 
         def fit(_train: Sequence) -> Callable:
             return ranker

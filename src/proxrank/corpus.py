@@ -303,13 +303,11 @@ class CorpusIndex:
         documents: dict[str, Document],
         postings: dict[str, dict[str, tuple[int, ...]]],
         stats: CorpusStats,
-        entity_mentions: dict[str, list[tuple[str, Mention]]],
         entity_types: dict[str, frozenset[str]],
     ) -> None:
         self.documents = documents
         self.postings = postings
         self.stats = stats
-        self.entity_mentions = entity_mentions
         self.entity_types = entity_types
 
     # -- statistics ----------------------------------------------------
@@ -383,7 +381,6 @@ def ingest_corpus(
     """
     documents: dict[str, Document] = {}
     postings: dict[str, dict[str, tuple[int, ...]]] = {}
-    entity_mentions: dict[str, list[tuple[str, Mention]]] = defaultdict(list)
     doc_len: dict[str, int] = {}
     vocab: dict[str, str] = {}  # each token text to its one shared copy
     positions: list[int] = []  # position p is positions[p], shared by every document
@@ -416,8 +413,6 @@ def ingest_corpus(
             where[tok].append(pos)
         for tok, starts in where.items():
             postings.setdefault(tok, {})[doc.doc_id] = tuple(starts)
-        for m in doc.mentions:
-            entity_mentions[m.entity_id].append((doc.doc_id, m))
 
     stats = CorpusStats(
         num_docs=len(documents),
@@ -429,7 +424,7 @@ def ingest_corpus(
     entity_types: dict[str, frozenset[str]] = {}
     if catalog is not None:
         entity_types = _parse_catalog(catalog)
-    return CorpusIndex(documents, postings, stats, dict(entity_mentions), entity_types)
+    return CorpusIndex(documents, postings, stats, entity_types)
 
 
 def _parse_record(rec: Mapping | str | bytes, lineno: int) -> Mapping | None:
@@ -733,8 +728,19 @@ def read_queries(path: str) -> list[Query]:
             for t in raw_terms:
                 if not isinstance(t, Mapping) or "text" not in t:
                     raise CorpusError(f"query record {lineno}: bad term entry")
-                terms.append(QueryTerm(text=str(t["text"]).lower(), required=bool(t.get("required", False))))
+                required = t.get("required", False)
+                if not isinstance(required, bool):
+                    raise CorpusError(
+                        f"query record {lineno}: query {qid!r}: a term's required must be "
+                        f"true or false, got {required!r}"
+                    )
+                terms.append(QueryTerm(text=str(t["text"]).lower(), required=required))
             target = rec.get("target_type")
+            if target is not None and not isinstance(target, str):
+                raise CorpusError(
+                    f"query record {lineno}: query {qid!r}: target_type must be a string "
+                    f"or null, got {target!r}"
+                )
             queries.append(Query(query_id=qid, terms=terms, target_type=target))
     return queries
 

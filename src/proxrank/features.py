@@ -395,10 +395,9 @@ def context_matrix(
     layout: FeatureLayout,
     params: Bm25Params = Bm25Params(),
 ) -> np.ndarray:
-    """Stack feature vectors for an entity's contexts into an (n, M) array.
-
-    Whole-document scores are computed once per distinct document.
-    """
+    """Feature rows of any contexts, one entity's or many, as an (n, M) array.
+    Whole-document scores are computed once per distinct document, and
+    ``prepare_queries`` passes a whole query's contexts in one call."""
     contexts = list(contexts)
     rows = _proximity_rows(contexts, query, index.stats, layout)
     doc_rows: dict[str, np.ndarray] = {}

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -184,6 +184,28 @@ class PreparedQuery:
         return bool(self.good) and bool(self.bad)
 
 
+def _prepare(
+    index: CorpusIndex,
+    queries: Sequence[Query],
+    judgments: Judgments,
+    retrieval: RetrievalConfig | None,
+    rows: Callable[[Query, Mapping, list[str]], list[np.ndarray]],
+) -> list[PreparedQuery]:
+    """The one preparation loop: per query, retrieve the candidates once,
+    build the row blocks of every candidate, in entity-id order, with one
+    ``rows(query, support, entity_ids)`` call, and stack them."""
+    retrieval = retrieval or RetrievalConfig()
+    out = []
+    for query in queries:
+        qid = query.query_id
+        support = find_candidates(index, query, retrieval).support
+        entity_ids = sorted(support)
+        matrices = rows(query, support, entity_ids)
+        good, bad = judgments.good_for(qid), judgments.bad_for(qid)
+        out.append(PreparedQuery.from_matrices(qid, entity_ids, matrices, good, bad))
+    return out
+
+
 def prepare_queries(
     index: CorpusIndex,
     queries: Sequence[Query],
@@ -192,26 +214,20 @@ def prepare_queries(
     retrieval: RetrievalConfig | None = None,
     bm25: Bm25Params = Bm25Params(),
 ) -> list[PreparedQuery]:
-    """Retrieve candidates and featurize them for every query."""
-    retrieval = retrieval or RetrievalConfig()
-    out = []
-    for query in queries:
-        candidates = find_candidates(index, query, retrieval)
-        entity_ids = candidates.entity_ids()
-        matrices = [
-            context_matrix(index, query, candidates.support[eid], layout, bm25)
-            for eid in entity_ids
-        ]
-        out.append(
-            PreparedQuery.from_matrices(
-                query.query_id,
-                entity_ids,
-                matrices,
-                judgments.good_for(query.query_id),
-                judgments.bad_for(query.query_id),
-            )
-        )
-    return out
+    """Retrieve candidates and featurize them for every query.
+
+    A query's contexts, in entity-id order, go through one
+    :func:`context_matrix` call, so each document's whole-document scores
+    are computed once per query; the rows are then cut into entity blocks.
+    """
+
+    def rows(query, support, entity_ids):
+        contexts = [ctx for eid in entity_ids for ctx in support[eid]]
+        ends = np.cumsum([len(support[eid]) for eid in entity_ids], dtype=int)
+        stack = context_matrix(index, query, contexts, layout, bm25)
+        return np.split(stack, ends[:-1]) if entity_ids else []
+
+    return _prepare(index, queries, judgments, retrieval, rows)
 
 
 def prepare_macdonald(
@@ -222,23 +238,12 @@ def prepare_macdonald(
     bm25: Bm25Params = Bm25Params(),
 ) -> list[PreparedQuery]:
     """Entity-level voting features: each entity is one 7-feature row."""
-    retrieval = retrieval or RetrievalConfig()
-    out = []
-    for query in queries:
-        candidates = find_candidates(index, query, retrieval)
-        rows = macdonald_features(index, query, candidates.support, bm25)
-        entity_ids = sorted(rows)
-        matrices = [rows[eid].reshape(1, -1) for eid in entity_ids]
-        out.append(
-            PreparedQuery.from_matrices(
-                query.query_id,
-                entity_ids,
-                matrices,
-                judgments.good_for(query.query_id),
-                judgments.bad_for(query.query_id),
-            )
-        )
-    return out
+
+    def rows(query, support, entity_ids):
+        features = macdonald_features(index, query, support, bm25)
+        return [features[eid].reshape(1, -1) for eid in entity_ids]
+
+    return _prepare(index, queries, judgments, retrieval, rows)
 
 
 def soft_hinge(a):

@@ -1,14 +1,16 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written directly from the defining formulas with
-plain loops, no shared code with the package under test, except three
+plain loops, no shared code with the package under test, except four
 kept replacements: :func:`objective_per_query`, the query-by-query
 training objective on the package's kernel, the reference for the
 stacked one; the document scanners that the positional-index reads
 replaced (:func:`find_candidates_scan`, :func:`balog2_scan`,
-:func:`petkova_scan`); and the ingest that the compact index replaced
-(:func:`ingest_scan`), on the package's data types.  Slow is fine;
-these run on small instances only.
+:func:`petkova_scan`); the ingest that the compact index replaced
+(:func:`ingest_scan`), on the package's data types; and the per-entity
+preparation that one featurizer call per query replaced
+(:func:`prepare_per_entity`).  Slow is fine; these run on small
+instances only.
 """
 
 from __future__ import annotations
@@ -794,7 +796,6 @@ def ingest_scan(records, catalog=None):
 
     documents = {}
     postings = defaultdict(dict)
-    entity_mentions = defaultdict(list)
     doc_len = {}
     cf = defaultdict(int)
 
@@ -821,8 +822,6 @@ def ingest_scan(records, catalog=None):
                 f"record {lineno}: doc {doc.doc_id!r}: token {k} is empty or contains "
                 f"whitespace: {doc.tokens[k]!r}"
             )
-        for m in doc.mentions:
-            entity_mentions[m.entity_id].append((doc.doc_id, m))
 
     stats = CorpusStats(
         num_docs=len(documents),
@@ -832,7 +831,7 @@ def ingest_scan(records, catalog=None):
         doc_len=doc_len,
     )
     entity_types = _parse_catalog(catalog) if catalog is not None else {}
-    return CorpusIndex(documents, dict(postings), stats, dict(entity_mentions), entity_types)
+    return CorpusIndex(documents, dict(postings), stats, entity_types)
 
 
 def _document_scan(rec):
@@ -860,3 +859,32 @@ def _document_scan(rec):
     doc = Document(doc_id=doc_id, tokens=[t.lower() for t in tokens], mentions=mentions)
     doc.validate()
     return doc
+
+
+def prepare_per_entity(index, queries, judgments, layout, retrieval=None, bm25=None):
+    """``prepare_queries`` as it was before one featurizer call covered a
+    whole query: one ``context_matrix`` call per candidate entity."""
+    from proxrank.corpus import RetrievalConfig, find_candidates
+    from proxrank.features import Bm25Params, context_matrix
+    from proxrank.training import PreparedQuery
+
+    retrieval = retrieval or RetrievalConfig()
+    bm25 = bm25 or Bm25Params()
+    out = []
+    for query in queries:
+        candidates = find_candidates(index, query, retrieval)
+        entity_ids = candidates.entity_ids()
+        matrices = [
+            context_matrix(index, query, candidates.support[eid], layout, bm25)
+            for eid in entity_ids
+        ]
+        out.append(
+            PreparedQuery.from_matrices(
+                query.query_id,
+                entity_ids,
+                matrices,
+                judgments.good_for(query.query_id),
+                judgments.bad_for(query.query_id),
+            )
+        )
+    return out

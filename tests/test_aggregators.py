@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from proxrank.aggregators import (
+    OPERATORS,
+    TRANSFORMS,
     AggregationError,
     AggregatorSpec,
     TransformError,
@@ -85,6 +87,30 @@ class TestSpec:
         assert AggregatorSpec.from_name("count") == AggregatorSpec("sum", "indicator")
         for name in NAMED + ("count",):
             assert AggregatorSpec.from_name(name).name == name
+
+    def test_names_of_every_operator_and_transform(self):
+        names = {
+            ("sum", "identity"): "sum",
+            ("sum", "exp"): "softmax",
+            ("sum", "log1p"): "softcount",
+            ("sum", "indicator"): "count",
+            ("avg", "identity"): "avg",
+            ("avg", "exp"): "avg+exp",
+            ("avg", "log1p"): "avg+log1p",
+            ("avg", "indicator"): "avg+indicator",
+        }
+        for transform in TRANSFORMS:
+            names["softor", transform] = "softor"
+            names["softcutoff", transform] = "softcutoff"
+        assert sorted(names) == sorted((o, t) for o in OPERATORS for t in TRANSFORMS)
+        for (operator, transform), name in names.items():
+            decay = DECAY if operator == "softcutoff" else None
+            assert AggregatorSpec(operator, transform, decay).name == name
+        for name in NAMED + ("count", "softcutoff"):
+            decay = DECAY if name == "softcutoff" else None
+            spec = AggregatorSpec.from_name(name, decay)
+            assert spec.name == name
+            assert AggregatorSpec.from_name(spec.name, decay) == spec
 
     def test_softcutoff_requires_valid_decay(self):
         with pytest.raises(AggregationError):

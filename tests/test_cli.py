@@ -256,6 +256,38 @@ class TestRankCommand:
         assert code == 0
         assert read_run(os.path.join(out, "run.txt"))
 
+    @pytest.mark.parametrize(
+        "field, value", [("target_type", ["person"]), ("required", "false")]
+    )
+    def test_malformed_query_field_fails_at_load_queries(
+        self, synth_dir, tmp_path, capsys, field, value
+    ):
+        record = {"query_id": "q", "terms": [{"text": "a"}]}
+        if field == "target_type":
+            record["target_type"] = value
+        else:
+            record["terms"][0]["required"] = value
+        queries = str(tmp_path / "queries.jsonl")
+        with open(queries, "w") as fh:
+            fh.write(json.dumps(record) + "\n")
+        out = str(tmp_path / "run")
+        code = main(
+            [
+                "rank",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", queries,
+                "--baseline", "count",
+                "--out", out,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "proxrank rank: load-queries: query record 1: query 'q':" in err
+        assert "Traceback" not in err
+        manifest = manifest_of(out)
+        assert manifest["status"] == "failed" and "query record 1" in manifest["error"]
+        assert not os.path.exists(os.path.join(out, "run.txt"))
+
     def test_model_and_baseline_conflict(self, synth_dir, model_dir, tmp_path):
         code = main(
             [

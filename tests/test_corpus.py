@@ -252,6 +252,34 @@ class TestFileFormats:
         with pytest.raises(CorpusError, match="duplicate"):
             read_queries(path)
 
+    @pytest.mark.parametrize("target", [["person"], 3, {"type": "person"}, True])
+    def test_non_string_target_type_rejected(self, tmp_path, target):
+        path = os.path.join(tmp_path, "queries.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"query_id": "q0", "terms": [{"text": "a"}]}) + "\n")
+            record = {"query_id": "q1", "terms": [{"text": "a"}], "target_type": target}
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=r"query record 2: query 'q1': target_type must be"):
+            read_queries(path)
+
+    @pytest.mark.parametrize("required", ["false", "true", 0, 1, None])
+    def test_non_boolean_required_rejected(self, tmp_path, required):
+        path = os.path.join(tmp_path, "queries.jsonl")
+        with open(path, "w") as fh:
+            terms = [{"text": "a"}, {"text": "b", "required": required}]
+            fh.write(json.dumps({"query_id": "q", "terms": terms}) + "\n")
+        with pytest.raises(CorpusError, match=r"query record 1: query 'q': a term's required must"):
+            read_queries(path)
+
+    def test_null_target_type_and_boolean_required_accepted(self, tmp_path):
+        path = os.path.join(tmp_path, "queries.jsonl")
+        with open(path, "w") as fh:
+            terms = [{"text": "a", "required": False}, {"text": "b", "required": True}]
+            fh.write(json.dumps({"query_id": "q", "terms": terms, "target_type": None}) + "\n")
+        [query] = read_queries(path)
+        assert query.target_type is None
+        assert [t.required for t in query.terms] == [False, True]
+
 
 class TestHelpers:
     def test_documents_to_index_round_trip(self):

@@ -66,7 +66,6 @@ def content(index):
         list(index.stats.cf.items()),
         list(index.stats.doc_len.items()),
         (index.stats.num_docs, index.stats.collection_len),
-        list(index.entity_mentions.items()),
         sorted(index.entity_types.items()),
     )
 
