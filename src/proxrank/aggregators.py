@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -391,15 +392,42 @@ def balog2_score(
     return float(np.sum(np.sort(np.asarray(scores))))
 
 
+def _gaussian(offsets: np.ndarray, width: float) -> np.ndarray:
+    # The one copy of the kernel formula, at the offsets i - center.
+    return np.exp(-(offsets**2) / (2.0 * width * width))
+
+
+@lru_cache(maxsize=32)
+def _kernel_table(width: float, reach: int) -> np.ndarray:
+    # The kernel at the offsets -reach, ..., reach.  Read-only, since every
+    # caller shares it; the cache keeps the 32 most recent (width, reach).
+    table = _gaussian(np.arange(-reach, reach + 1, dtype=float), width)
+    table.flags.writeable = False
+    return table
+
+
+def _kernel(length: int, center: int, width: float) -> np.ndarray:
+    # The kernel at positions 0 .. length-1.  A center inside the document
+    # reads a slice of the width's table, whose reach covers every offset
+    # (a power of two, so that each width keeps a table per doubling of the
+    # length, not per length).  The offsets are exact integers in float, so
+    # each entry has the bits the formula gives for this center alone, and
+    # so does the slice's sum.
+    if not (isinstance(center, int) and 0 <= center < length):
+        return _gaussian(np.arange(length, dtype=float) - float(center), width)
+    reach = 1 << (length - 1).bit_length()
+    start = reach - center
+    return _kernel_table(width, reach)[start : start + length]
+
+
 def _positional_masses(
     length: int, center: int, width: float, positions: Mapping[str, Sequence[int]]
 ) -> dict[str, float]:
-    # The one copy of the kernel formula: each term's kernel mass at its
-    # positions over the mass of every position of the document.  The
-    # positions must ascend, so that a mass has the same bits whether they
-    # come from the postings or from a pass over the tokens.
-    offsets = np.arange(length, dtype=float)
-    kernel = np.exp(-((offsets - float(center)) ** 2) / (2.0 * width * width))
+    # Each term's kernel mass at its positions over the mass of every
+    # position of the document.  The positions must ascend, so that a mass
+    # has the same bits whether they come from the postings or from a pass
+    # over the tokens.
+    kernel = _kernel(length, center, width)
     denom = float(kernel.sum())
     out: dict[str, float] = {}
     for term, where in positions.items():
@@ -420,7 +448,8 @@ def positional_term_distribution(
     matter, which is exactly the baseline's blind spot: translating the
     whole geometry leaves the distribution unchanged.  This function
     finds the occurrences in ``tokens``; :func:`petkova_score` reads them
-    from the postings and shares the kernel.
+    from the postings and shares the kernel, read from one table per width
+    and document-length class rather than built per context.
     """
     if width <= 0.0:
         raise AggregationError(f"kernel width must be positive, got {width}")

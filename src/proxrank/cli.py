@@ -66,7 +66,7 @@ from proxrank.evaluation import (
     write_report,
     write_run,
 )
-from proxrank.features import Bm25Params, FeatureError, FeatureLayout, context_matrix
+from proxrank.features import Bm25Params, FeatureError, FeatureLayout
 from proxrank.synth import SynthError, SynthParams, generate_synthetic
 from proxrank.training import (
     Model,
@@ -78,6 +78,7 @@ from proxrank.training import (
     prepare_macdonald,
     prepare_queries,
     save_model,
+    support_matrix,
     train_model,
     train_soft_cutoff,
 )
@@ -135,26 +136,37 @@ def baseline_ranker(
     lm_lambda: float = 0.5,
     kernel_width: float = 25.0,
 ) -> Callable[[QueryCandidates], Ranking]:
-    """Ranker over raw candidate sets for the untrained reference systems."""
+    """Ranker over raw candidate sets for the untrained reference systems.
+
+    A scorer takes a query's whole support, in entity-id order: ``count``
+    featurizes every context with one :func:`support_matrix` call and
+    scores the entities with one :func:`aggregate_score` call, which gives
+    each entity the bits of a call over its own rows alone.
+    """
     count = count_model()
+
+    def count_scores(query, support, entity_ids):
+        rows, offsets = support_matrix(index, query, support, entity_ids, count.layout, bm25)
+        return aggregate_score(count.spec, count.weights, rows, offsets).tolist()
+
     scorers = {
-        "count": lambda query, contexts: aggregate_score(
-            count.spec,
-            count.weights,
-            context_matrix(index, query, contexts, count.layout, bm25),
-        ),
-        "balog2": lambda query, contexts: balog2_score(index, query, contexts, smoothing=lm_lambda),
-        "petkova": lambda query, contexts: petkova_score(
-            index, query, contexts, kernel_width=kernel_width, smoothing=lm_lambda
-        ),
+        "count": count_scores,
+        "balog2": lambda query, support, entity_ids: [
+            balog2_score(index, query, support[eid], smoothing=lm_lambda) for eid in entity_ids
+        ],
+        "petkova": lambda query, support, entity_ids: [
+            petkova_score(index, query, support[eid], kernel_width=kernel_width, smoothing=lm_lambda)
+            for eid in entity_ids
+        ],
     }
     if name not in scorers:
         raise EvalError(f"unknown baseline {name!r} (expected one of {BASELINE_SYSTEMS})")
     score = scorers[name]
 
     def rank(qc: QueryCandidates) -> Ranking:
-        scores = {eid: score(qc.query, qc.support[eid]) for eid in sorted(qc.support)}
-        return rank_entities(qc.query_id, scores)
+        entity_ids = sorted(qc.support)
+        scores = score(qc.query, qc.support, entity_ids) if entity_ids else []
+        return rank_entities(qc.query_id, dict(zip(entity_ids, scores)))
 
     return rank
 
@@ -434,11 +446,16 @@ def _prepare_system(
     judgments: Judgments,
 ) -> tuple[list[PreparedQuery], FeatureLayout | None, AggregatorSpec]:
     stage["name"] = "featurize"
+    if args.system == "macdonald" and args.aggregator != "sum":
+        raise TrainingError(
+            f"--system macdonald fits the sum aggregator only, got --aggregator {args.aggregator}"
+        )
+    spec = AggregatorSpec.from_name(args.aggregator)
     retrieval, bm25 = _retrieval_settings(args)
     prepared, layout = _prepare(
         args.system, partial(_layout_from_args, args), index, queries, judgments, retrieval, bm25
     )
-    return prepared, layout, AggregatorSpec.from_name("sum" if layout is None else args.aggregator)
+    return prepared, layout, spec
 
 
 def _prepare(

@@ -27,6 +27,7 @@ __all__ = [
     "Document",
     "Judgments",
     "Mention",
+    "MentionGeometry",
     "PER_MENTION",
     "Query",
     "QueryTerm",
@@ -191,6 +192,48 @@ class TermState:
         return cls(tuple(tokens), counts, squares, sum(squares))
 
 
+@dataclass(frozen=True)
+class MentionGeometry:
+    """A document's mentions by start, for finding the mentions that a
+    query-term occurrence can reach.
+
+    ``starts`` holds the mention starts in ascending order, ``order`` the
+    index in ``mentions`` of each, and ``reach`` the widest span.
+    """
+
+    mentions: tuple[Mention, ...]
+    starts: list[int]
+    order: list[int]
+    reach: int
+
+    @classmethod
+    def of(cls, mentions: Sequence[Mention]) -> "MentionGeometry":
+        starts = [m.start for m in mentions]
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        reach = max((m.end - m.start for m in mentions), default=0)
+        return cls(tuple(mentions), [starts[i] for i in order], order, reach)
+
+    def reachable(
+        self, occurrences: Iterable[tuple[int, Sequence[int]]], window: int
+    ) -> list[Mention]:
+        """The mentions within ``window`` of some occurrence, in document order.
+
+        An occurrence [p, p + length) lies within the window of mention
+        [start, end) when start <= p + length - 1 + window and
+        end >= p - window + 1.  No span is wider than ``reach``, so such a
+        mention starts in [p - window + 1 - reach, p + length - 1 + window]:
+        a range of the sorted starts, marked on a difference array.
+        """
+        starts = self.starts
+        marks = [0] * (len(starts) + 1)
+        for length, positions in occurrences:
+            for p in positions:
+                marks[bisect_left(starts, p - window + 1 - self.reach)] += 1
+                marks[bisect_right(starts, p + length - 1 + window)] -= 1
+        reached = sorted(i for i, depth in zip(self.order, accumulate(marks)) if depth)
+        return [self.mentions[i] for i in reached]
+
+
 @dataclass
 class CorpusStats:
     """Collection-level term statistics.
@@ -261,9 +304,6 @@ class CandidateSet:
     query_id: str
     support: dict[str, list[Context]]
 
-    def entity_ids(self) -> list[str]:
-        return sorted(self.support)
-
 
 @dataclass
 class RetrievalConfig:
@@ -291,11 +331,13 @@ class CorpusIndex:
     position and list postings, and leaves 84k objects tracked by the
     cyclic garbage collector, against 301k.
 
-    Immutable after construction apart from two caches on ``stats``, both
-    filled on first use and never changed after: phrase statistics
-    (:meth:`phrase_df`) and per-document term state
-    (:meth:`CorpusStats.term_state`, built on a document's first
-    whole-document scoring, not at ingest).  Concurrent readers are safe.
+    Immutable after construction apart from three caches, each filled on
+    first use: phrase statistics (:meth:`phrase_df`), never changed after,
+    and two per-document caches, rebuilt only for a document whose tokens
+    or mentions were replaced: term state (:meth:`CorpusStats.term_state`,
+    built on a document's first whole-document scoring, not at ingest) and
+    mention geometry (:meth:`mention_geometry`, built on a document's first
+    retrieval).  Concurrent readers are safe.
     """
 
     def __init__(
@@ -309,6 +351,7 @@ class CorpusIndex:
         self.postings = postings
         self.stats = stats
         self.entity_types = entity_types
+        self._geometry: dict[str, MentionGeometry] = {}
 
     # -- statistics ----------------------------------------------------
 
@@ -321,11 +364,16 @@ class CorpusIndex:
             self.term_starts(key)  # caches the phrase's document frequency
         return self.stats.doc_frequency(key)
 
-    def warm_query(self, query: Query) -> None:
-        """Ensure phrase statistics for every phrase term are cached."""
-        for term in query.distinct_terms():
-            if term.is_phrase:
-                self.phrase_df(term.tokens)
+    def mention_geometry(self, document: Document) -> MentionGeometry:
+        """The document's mention geometry, built on first use and kept.
+
+        A kept geometry serves only the very mention tuple it was built
+        from, so a document whose mentions are replaced gets a new one.
+        """
+        geometry = self._geometry.get(document.doc_id)
+        if geometry is None or geometry.mentions is not document.mentions:
+            geometry = self._geometry[document.doc_id] = MentionGeometry.of(document.mentions)
+        return geometry
 
     # -- occurrence lookup ---------------------------------------------
 
@@ -599,7 +647,8 @@ def find_candidates(
     Reads come from the positional index, not from document scans:
     occurrences are the postings (a phrase is checked token by token once
     per posting of its first token, see :meth:`CorpusIndex.term_starts`),
-    only the mentions some occurrence can reach are visited, and each
+    only the mentions some occurrence can reach are visited (found in the
+    document's :class:`MentionGeometry`, built once per document), and each
     term's nearest occurrence is found by bisection.
     """
     config = config or RetrievalConfig()
@@ -625,7 +674,7 @@ def find_candidates(
             t.text: (len(t.tokens), term_starts[t.text].get(doc_id, ())) for t in terms
         }
         here: list[Context] = []
-        for mention in _reachable_mentions(doc.mentions, occurrences.values(), config.window):
+        for mention in index.mention_geometry(doc).reachable(occurrences.values(), config.window):
             if check_type and query.target_type not in index.entity_types.get(
                 mention.entity_id, frozenset()
             ):
@@ -641,28 +690,6 @@ def find_candidates(
     for contexts in support.values():
         contexts.sort(key=lambda c: (c.doc_id, c.mention_offset))
     return CandidateSet(query_id=query.query_id, support=dict(sorted(support.items())))
-
-
-def _reachable_mentions(
-    mentions: Sequence[Mention], occurrences: Iterable[tuple[int, Sequence[int]]], window: int
-) -> list[Mention]:
-    # An occurrence [p, p + length) lies within the window of mention
-    # [start, end) when start <= p + length - 1 + window and
-    # end >= p - window + 1.  No span is wider than ``reach``, so such a
-    # mention starts in [p - window + 1 - reach, p + length - 1 + window]:
-    # a range of the sorted starts, marked on a difference array.  The
-    # reached mentions keep their document order.
-    starts = [m.start for m in mentions]
-    order = sorted(range(len(starts)), key=starts.__getitem__)
-    starts = [starts[i] for i in order]
-    reach = max([m.end - m.start for m in mentions])
-    marks = [0] * (len(order) + 1)
-    for length, positions in occurrences:
-        for p in positions:
-            marks[bisect_left(starts, p - window + 1 - reach)] += 1
-            marks[bisect_right(starts, p + length - 1 + window)] -= 1
-    reached = sorted(i for i, depth in zip(order, accumulate(marks)) if depth)
-    return [mentions[i] for i in reached]
 
 
 def _best_per_entity(stats: CorpusStats, query: Query, contexts: list[Context]) -> list[Context]:

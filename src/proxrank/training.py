@@ -28,6 +28,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from proxrank.aggregators import (
     segment_deciles,
 )
 from proxrank.corpus import (
+    Context,
     CorpusIndex,
     Judgments,
     Query,
@@ -70,6 +72,7 @@ __all__ = [
     "save_model",
     "select_ridge_width",
     "soft_hinge",
+    "support_matrix",
     "train_model",
     "train_soft_cutoff",
 ]
@@ -138,6 +141,34 @@ class PreparedQuery:
             raise TrainingError(f"query {self.query_id!r}: entity with no context rows")
 
     @classmethod
+    def from_stack(
+        cls,
+        query_id: str,
+        entity_ids: Sequence[str],
+        stack: np.ndarray,
+        offsets: Sequence[int],
+        judged_good: Iterable[str] = (),
+        judged_bad: Iterable[str] = (),
+    ) -> "PreparedQuery":
+        """A prepared query over ``stack``, whose rows
+        offsets[k]:offsets[k+1] belong to entity_ids[k]."""
+        judged_good = frozenset(judged_good)
+        judged_bad = frozenset(judged_bad)
+        if judged_good & judged_bad:
+            raise TrainingError(f"query {query_id!r}: overlapping judgments")
+        ids = tuple(entity_ids)
+        return cls(
+            query_id=query_id,
+            entity_ids=ids,
+            stack=np.asarray(stack, dtype=float),
+            offsets=np.asarray(offsets, dtype=int),
+            good=tuple(i for i, e in enumerate(ids) if e in judged_good),
+            bad=tuple(i for i, e in enumerate(ids) if e in judged_bad),
+            judged_good=judged_good,
+            judged_bad=judged_bad,
+        )
+
+    @classmethod
     def from_matrices(
         cls,
         query_id: str,
@@ -146,27 +177,13 @@ class PreparedQuery:
         judged_good: Iterable[str] = (),
         judged_bad: Iterable[str] = (),
     ) -> "PreparedQuery":
-        judged_good = frozenset(judged_good)
-        judged_bad = frozenset(judged_bad)
-        if judged_good & judged_bad:
-            raise TrainingError(f"query {query_id!r}: overlapping judgments")
+        """:meth:`from_stack` over the entities' row blocks, stacked in order."""
         if matrices:
             stack = np.vstack([np.asarray(m, dtype=float) for m in matrices])
             offsets = np.concatenate([[0], np.cumsum([m.shape[0] for m in matrices])])
         else:
-            stack = np.zeros((0, 0), dtype=float)
-            offsets = np.array([0])
-        ids = tuple(entity_ids)
-        return cls(
-            query_id=query_id,
-            entity_ids=ids,
-            stack=stack,
-            offsets=np.asarray(offsets, dtype=int),
-            good=tuple(i for i, e in enumerate(ids) if e in judged_good),
-            bad=tuple(i for i, e in enumerate(ids) if e in judged_bad),
-            judged_good=judged_good,
-            judged_bad=judged_bad,
-        )
+            stack, offsets = _no_rows()
+        return cls.from_stack(query_id, entity_ids, stack, offsets, judged_good, judged_bad)
 
     @property
     def n_entities(self) -> int:
@@ -184,25 +201,47 @@ class PreparedQuery:
         return bool(self.good) and bool(self.bad)
 
 
+def _no_rows() -> tuple[np.ndarray, np.ndarray]:
+    # The stack and offsets of a query without candidates.
+    return np.zeros((0, 0), dtype=float), np.array([0])
+
+
+def support_matrix(
+    index: CorpusIndex,
+    query: Query,
+    support: Mapping[str, Sequence[Context]],
+    entity_ids: Sequence[str],
+    layout: FeatureLayout,
+    bm25: Bm25Params = Bm25Params(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The context rows of every entity in ``entity_ids``, in that order,
+    from one :func:`context_matrix` call, so each document's
+    whole-document scores are computed once per query; entity k's rows
+    are rows[offsets[k]:offsets[k+1]]."""
+    contexts = [ctx for eid in entity_ids for ctx in support[eid]]
+    offsets = np.cumsum([0] + [len(support[eid]) for eid in entity_ids])
+    return context_matrix(index, query, contexts, layout, bm25), offsets
+
+
 def _prepare(
     index: CorpusIndex,
     queries: Sequence[Query],
     judgments: Judgments,
     retrieval: RetrievalConfig | None,
-    rows: Callable[[Query, Mapping, list[str]], list[np.ndarray]],
+    rows: Callable[[Query, Mapping, list[str]], tuple[np.ndarray, np.ndarray]],
 ) -> list[PreparedQuery]:
     """The one preparation loop: per query, retrieve the candidates once,
-    build the row blocks of every candidate, in entity-id order, with one
-    ``rows(query, support, entity_ids)`` call, and stack them."""
+    build the stack and offsets of every candidate, in entity-id order,
+    with one ``rows(query, support, entity_ids)`` call, and keep them."""
     retrieval = retrieval or RetrievalConfig()
     out = []
     for query in queries:
         qid = query.query_id
         support = find_candidates(index, query, retrieval).support
         entity_ids = sorted(support)
-        matrices = rows(query, support, entity_ids)
+        stack, offsets = rows(query, support, entity_ids) if entity_ids else _no_rows()
         good, bad = judgments.good_for(qid), judgments.bad_for(qid)
-        out.append(PreparedQuery.from_matrices(qid, entity_ids, matrices, good, bad))
+        out.append(PreparedQuery.from_stack(qid, entity_ids, stack, offsets, good, bad))
     return out
 
 
@@ -214,19 +253,9 @@ def prepare_queries(
     retrieval: RetrievalConfig | None = None,
     bm25: Bm25Params = Bm25Params(),
 ) -> list[PreparedQuery]:
-    """Retrieve candidates and featurize them for every query.
-
-    A query's contexts, in entity-id order, go through one
-    :func:`context_matrix` call, so each document's whole-document scores
-    are computed once per query; the rows are then cut into entity blocks.
-    """
-
-    def rows(query, support, entity_ids):
-        contexts = [ctx for eid in entity_ids for ctx in support[eid]]
-        ends = np.cumsum([len(support[eid]) for eid in entity_ids], dtype=int)
-        stack = context_matrix(index, query, contexts, layout, bm25)
-        return np.split(stack, ends[:-1]) if entity_ids else []
-
+    """Retrieve candidates and featurize them for every query: one
+    :func:`support_matrix` call per query."""
+    rows = partial(support_matrix, index, layout=layout, bm25=bm25)
     return _prepare(index, queries, judgments, retrieval, rows)
 
 
@@ -241,7 +270,7 @@ def prepare_macdonald(
 
     def rows(query, support, entity_ids):
         features = macdonald_features(index, query, support, bm25)
-        return [features[eid].reshape(1, -1) for eid in entity_ids]
+        return np.array([features[eid] for eid in entity_ids]), np.arange(len(entity_ids) + 1)
 
     return _prepare(index, queries, judgments, retrieval, rows)
 

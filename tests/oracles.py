@@ -1,16 +1,16 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written directly from the defining formulas with
-plain loops, no shared code with the package under test, except four
+plain loops, no shared code with the package under test, except five
 kept replacements: :func:`objective_per_query`, the query-by-query
 training objective on the package's kernel, the reference for the
 stacked one; the document scanners that the positional-index reads
 replaced (:func:`find_candidates_scan`, :func:`balog2_scan`,
 :func:`petkova_scan`); the ingest that the compact index replaced
 (:func:`ingest_scan`), on the package's data types; and the per-entity
-preparation that one featurizer call per query replaced
-(:func:`prepare_per_entity`).  Slow is fine; these run on small
-instances only.
+preparation and ``count`` baseline that one featurizer call per query
+replaced (:func:`prepare_per_entity`, :func:`count_per_entity`).  Slow
+is fine; these run on small instances only.
 """
 
 from __future__ import annotations
@@ -669,7 +669,8 @@ def find_candidates_scan(index, query, config=None):
     )
 
     config = config or RetrievalConfig()
-    index.warm_query(query)
+    for term in query.distinct_terms():
+        index.phrase_df(term.tokens)
     terms = query.distinct_terms()
 
     term_docs = {
@@ -873,7 +874,7 @@ def prepare_per_entity(index, queries, judgments, layout, retrieval=None, bm25=N
     out = []
     for query in queries:
         candidates = find_candidates(index, query, retrieval)
-        entity_ids = candidates.entity_ids()
+        entity_ids = sorted(candidates.support)
         matrices = [
             context_matrix(index, query, candidates.support[eid], layout, bm25)
             for eid in entity_ids
@@ -888,3 +889,25 @@ def prepare_per_entity(index, queries, judgments, layout, retrieval=None, bm25=N
             )
         )
     return out
+
+
+def count_per_entity(index, qc, bm25=None):
+    """The ``count`` baseline's ranking as it was before one featurizer
+    call covered a whole query: one ``context_matrix`` and one
+    ``aggregate_score`` call per candidate entity."""
+    from proxrank.aggregators import aggregate_score
+    from proxrank.cli import count_model
+    from proxrank.evaluation import rank_entities
+    from proxrank.features import Bm25Params, context_matrix
+
+    bm25 = bm25 or Bm25Params()
+    count = count_model()
+    scores = {
+        eid: aggregate_score(
+            count.spec,
+            count.weights,
+            context_matrix(index, qc.query, qc.support[eid], count.layout, bm25),
+        )
+        for eid in sorted(qc.support)
+    }
+    return rank_entities(qc.query_id, scores)

@@ -88,6 +88,32 @@ class TestTrainCommand:
         assert model.layout is None
         assert model.weights.shape == (7,)
 
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    @pytest.mark.parametrize("aggregator", ["softor", "softmax", "avg"])
+    def test_macdonald_rejects_other_aggregators(
+        self, synth_dir, tmp_path, capsys, command, aggregator
+    ):
+        # macdonald fits sum only; any other request is refused, not
+        # silently replaced by sum under a manifest that names it.
+        out = str(tmp_path / "mac-agg")
+        code = main(
+            [
+                command, "--system", "macdonald", "--aggregator", aggregator,
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30", "--max-iters", "15",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{command}: featurize:" in err and aggregator in err
+        manifest = manifest_of(out)
+        assert manifest["status"] == "failed"
+        assert manifest["config"]["aggregator"] == aggregator
+        assert manifest["artifacts"] == []
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
     def test_cutoff_stage(self, synth_dir, tmp_path):
         out = str(tmp_path / "cut")
         code = main(

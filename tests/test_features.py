@@ -182,7 +182,6 @@ class TestLexicalScores:
 class TestProximityFamilies:
     def test_idfupto_is_cumulative_and_capped(self, fixture_index):
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
-        fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)  # created at 1, python at 3
         vec = _row(fixture_index, query, ctx)
         base = SMALL.family_offset("idfupto")
@@ -198,7 +197,6 @@ class TestProximityFamilies:
 
     def test_grid_adds_one_per_match(self, fixture_index):
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
-        fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)
         vec = _sparse_family(_row(fixture_index, query, ctx), SMALL, "grid")
         idf_created = 8 / 3
@@ -216,7 +214,6 @@ class TestProximityFamilies:
         # A single match in cell (2, 1) of a 4x3 grid covers rows 0..2
         # and columns 0..1: six cells, each incremented once.
         query = Query("q", [QueryTerm("python")])
-        fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)  # python at distance 3
         assert ctx.matches == {"python": 3}
         vec = rectangle_features(ctx, query, fixture_index.stats, SMALL)
@@ -228,7 +225,6 @@ class TestProximityFamilies:
 
     def test_rectangle_accumulates_counts(self, fixture_index):
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
-        fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)
         vec = rectangle_features(ctx, query, fixture_index.stats, SMALL)
         # Both matches dominate the far-common corner cell (0, 0).
@@ -239,7 +235,6 @@ class TestProximityFamilies:
 class TestVectorAssembly:
     def test_full_vector_contents(self, fixture_index):
         query = Query("q", [QueryTerm("created"), QueryTerm("python")])
-        fixture_index.warm_query(query)
         doc = fixture_index.documents["d01"]
         ctx = _context(fixture_index, "d01", 0, query)
         row = _row(fixture_index, query, ctx)
@@ -253,7 +248,6 @@ class TestVectorAssembly:
     def test_noprox_only_layout_row(self, fixture_index):
         layout = FeatureLayout(families=("noprox", "pad"))
         query = Query("q", [QueryTerm("python")])
-        fixture_index.warm_query(query)
         ctx = _context(fixture_index, "d01", 0, query)
         row = _row(fixture_index, query, ctx, layout)
         assert layout.dimension == 3
@@ -321,7 +315,8 @@ class TestDenseRowsMatchDictOracle:
         # near miss "programming languages".
         stats = fixture_index.stats
         for query in fixture_queries:
-            fixture_index.warm_query(query)
+            for term in query.distinct_terms():
+                fixture_index.phrase_df(term.tokens)
             for doc in fixture_index.documents.values():
                 assert bm25_score(doc.tokens, query, stats) == oracles.bm25_document(
                     doc.tokens, query, stats
@@ -366,7 +361,8 @@ class TestStatisticsAndValidation:
         ):
             with pytest.raises(CorpusError, match="no cached statistics"):
                 call()
-        index.warm_query(query)
+        for term in query.distinct_terms():
+            index.phrase_df(term.tokens)
         assert bm25_score(tokens, query, index.stats) > 0.0
 
     def test_invalid_document_score_names_query_and_document(self, fixture_index, monkeypatch):
@@ -435,7 +431,8 @@ class TestDocumentTermState:
         index = self._fresh_index(data_dir)
         query = fixture_queries[1]
         assert query.terms[0].is_phrase  # "programming language"
-        index.warm_query(query)
+        for term in query.distinct_terms():
+            index.phrase_df(term.tokens)
         offset = TRAIN_RANK_LAYOUT.family_offset("noprox")
         matched = 0
         for doc in index.documents.values():
@@ -460,7 +457,8 @@ class TestDocumentTermState:
         ]
         index = documents_to_index(documents)
         query = Query("q", [QueryTerm("a b"), QueryTerm("c d"), QueryTerm("e f a"), QueryTerm("b")])
-        index.warm_query(query)
+        for term in query.distinct_terms():
+            index.phrase_df(term.tokens)
         offset = TRAIN_RANK_LAYOUT.family_offset("noprox")
         for doc in index.documents.values():
             cos = oracles.cosine_document(doc.tokens, query, index.stats)
@@ -475,7 +473,8 @@ class TestDocumentTermState:
             "q", [QueryTerm("programming language"), QueryTerm("was created"),
                   QueryTerm("programming language"), QueryTerm("python")]
         )
-        index.warm_query(query)
+        for term in query.distinct_terms():
+            index.phrase_df(term.tokens)
         scanned = []
 
         def counting(tokens, phrase, candidates):

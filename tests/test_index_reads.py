@@ -3,9 +3,12 @@ index, checked against the document scanners they replaced.
 
 ``oracles.find_candidates_scan``, ``oracles.context_scan``,
 ``oracles.balog2_scan`` and ``oracles.petkova_scan`` visit every mention,
-compare every occurrence and count every window and document token.  The
-package must return the same contexts in the same order, and scores
-with the same bits (compared through ``float.hex``).
+compare every occurrence and count every window and document token, and
+build Petkova's kernel afresh for every context.  The package must return
+the same contexts in the same order, and scores with the same bits
+(compared through ``float.hex``).  The baseline rankers score a query's
+whole support at once; ``oracles.count_per_entity`` and the per-entity
+scanners are their references.
 """
 
 import dataclasses
@@ -15,10 +18,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from proxrank import corpus
+from proxrank import aggregators, corpus
 from proxrank.aggregators import balog2_score, petkova_score, positional_term_distribution
+from proxrank.cli import QueryCandidates, baseline_ranker
 from proxrank.corpus import (
     BEST_PER_DOCUMENT,
+    MentionGeometry,
     PER_MENTION,
     Context,
     Document,
@@ -32,6 +37,8 @@ from proxrank.corpus import (
     read_queries,
     write_queries,
 )
+from proxrank.evaluation import rank_entities
+from proxrank.features import Bm25Params
 from proxrank.synth import SynthParams, generate_synthetic
 
 import oracles
@@ -180,14 +187,7 @@ class TestAgainstScanners:
 
     @pytest.mark.parametrize("granularity", [PER_MENTION, BEST_PER_DOCUMENT])
     def test_baseline_read_shaped_corpus(self, granularity):
-        # The benchmark's baseline-read generator settings with fewer
-        # queries and documents: long filler documents without mentions.
-        params = SynthParams(
-            num_queries=8, num_docs=16, num_filler_docs=24, filler_len=800,
-            count_skew=0.1, rarity_skew=0.1, proximity_skew=0.2,
-        )
-        documents, queries, _ = generate_synthetic(params, seed=101)
-        index = documents_to_index(documents)
+        index, queries = baseline_read_shaped()
         config = RetrievalConfig(window=30, granularity=granularity)
         contexts = 0
         for query in queries:
@@ -196,6 +196,153 @@ class TestAgainstScanners:
             assert_scores_match(index, query, got.support, 0.5, 25.0)
             contexts += sum(len(c) for c in got.support.values())
         assert contexts > 50
+
+
+def baseline_read_shaped(seed=101, num_queries=8):
+    """The benchmark's baseline-read generator settings with fewer queries
+    and documents: long filler documents without mentions."""
+    params = SynthParams(
+        num_queries=num_queries, num_docs=16, num_filler_docs=24, filler_len=800,
+        count_skew=0.1, rarity_skew=0.1, proximity_skew=0.2,
+    )
+    documents, queries, _ = generate_synthetic(params, seed=seed)
+    return documents_to_index(documents), queries
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("width", [0.5, 1.0, 7.0, 25.0])
+    def test_petkova_at_the_document_edges(self, width):
+        # Centers at the first and the last position read the ends of the
+        # table, and the retrieved contexts everything between.
+        index, queries = baseline_read_shaped()
+        config = RetrievalConfig(window=30)
+        checked = 0
+        for query in queries:
+            support = find_candidates(index, query, config).support
+            for eid, contexts in support.items():
+                edges = [
+                    Context(ctx.doc_id, eid, offset, ctx.window, ctx.matches)
+                    for ctx in contexts
+                    for offset in (0, len(index.documents[ctx.doc_id].tokens) - 1)
+                ]
+                for group in (edges, edges[:1], edges[1:2], contexts + edges):
+                    got = petkova_score(index, query, group, kernel_width=width)
+                    want = oracles.petkova_scan(index, query, group, kernel_width=width)
+                    assert got.hex() == want.hex(), (query.query_id, eid)
+                    checked += 1
+        assert checked > 100
+
+    def test_kernel_slices_match_a_fresh_kernel(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            length = int(rng.integers(1, 2100))
+            center = int(rng.integers(-20, length + 20))
+            width = float(rng.choice([0.5, 1.0, 7.0, 25.0, 333.0]))
+            fresh = np.exp(-((np.arange(length, dtype=float) - center) ** 2) / (2 * width * width))
+            kernel = aggregators._kernel(length, center, width)
+            assert kernel.tobytes() == fresh.tobytes()
+            assert float(kernel.sum()).hex() == float(fresh.sum()).hex()
+
+    def test_table_cache_is_bounded_and_read_only(self):
+        maxsize = aggregators._kernel_table.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(3 * maxsize):
+            length = 40 + 7 * k
+            kernel = aggregators._kernel(length, k % length, 0.5 + k)
+            assert kernel.base is not None and kernel.base.size <= 4 * length
+            assert not kernel.flags.writeable and not kernel.base.flags.writeable
+            with pytest.raises(ValueError):
+                kernel[0] = 1.0
+        assert aggregators._kernel_table.cache_info().currsize == maxsize
+
+
+class TestBaselineRankers:
+    def rankings_match(self, index, query, support):
+        # Every baseline ranks a query's support at once; each entity's
+        # score must keep the bits of a per-entity call.
+        qc = QueryCandidates(query.query_id, query, support)
+        bm25 = Bm25Params()
+        want = {
+            "count": oracles.count_per_entity(index, qc, bm25),
+            "balog2": rank_entities(
+                qc.query_id, {e: oracles.balog2_scan(index, query, c) for e, c in support.items()}
+            ),
+            "petkova": rank_entities(
+                qc.query_id, {e: oracles.petkova_scan(index, query, c) for e, c in support.items()}
+            ),
+        }
+        for name, ranking in want.items():
+            got = baseline_ranker(name, index, bm25)(qc)
+            assert got.query_id == ranking.query_id
+            assert [(e, s.hex()) for e, s in got.items] == [
+                (e, s.hex()) for e, s in ranking.items
+            ], name
+            assert all(type(s) is float for _, s in got.items)
+        return len(support)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpora(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        entities = 0
+        for _ in range(40):
+            _, index = random_corpus(rng)
+            query = random_query(rng)
+            config = RetrievalConfig(window=int(rng.integers(1, 16)))
+            entities += self.rankings_match(index, query, find_candidates(index, query, config).support)
+        assert entities > 40
+
+    def test_baseline_read_shaped_corpus(self):
+        index, queries = baseline_read_shaped(seed=104, num_queries=12)
+        entities = 0
+        for query in queries:
+            support = find_candidates(index, query, RetrievalConfig(window=30)).support
+            entities += self.rankings_match(index, query, support)
+        assert entities > 50
+
+    def test_query_without_candidates(self):
+        index = documents_to_index([Document("d", ("a", "b"), (Mention("e", 0, 1),))])
+        qc = QueryCandidates("q", Query("q", [QueryTerm("zz")]), {})
+        for name in ("count", "balog2", "petkova"):
+            assert baseline_ranker(name, index)(qc).items == ()
+
+
+class TestMentionGeometry:
+    def test_kept_per_document_until_its_mentions_are_replaced(self):
+        doc = Document("d", ("a", "b", "c", "a"), (Mention("e2", 3, 4), Mention("e1", 0, 2)))
+        index = documents_to_index([doc])
+        doc = index.documents["d"]
+        geometry = index.mention_geometry(doc)
+        assert (geometry.starts, geometry.order, geometry.reach) == ([0, 3], [1, 0], 2)
+        assert index.mention_geometry(doc) is geometry
+        doc.mentions = (Mention("e3", 1, 2),)
+        assert index.mention_geometry(doc).mentions is doc.mentions
+        assert MentionGeometry.of(()).reach == 0
+
+    def test_replaced_mentions_change_what_retrieval_returns(self):
+        index = documents_to_index([Document("d", ("x", "a", "y"), (Mention("e1", 1, 2),))])
+        query = Query("q", [QueryTerm("a")])
+        config = RetrievalConfig(window=2)
+        assert list(find_candidates(index, query, config).support) == ["e1"]
+        index.documents["d"].mentions = (Mention("e2", 0, 1), Mention("e3", 2, 3))
+        assert list(find_candidates(index, query, config).support) == ["e2", "e3"]
+        index.documents["d"].mentions = ()
+        assert find_candidates(index, query, config).support == {}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_replacements(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        changed = 0
+        for _ in range(40):
+            _, index = random_corpus(rng)
+            query = random_query(rng)
+            config = RetrievalConfig(window=int(rng.integers(1, 16)))
+            before = listing(find_candidates(index, query, config))
+            for doc in index.documents.values():
+                doc.mentions = random_mentions(rng, len(doc.tokens))
+            after = listing(find_candidates(index, query, config))
+            assert after == listing(oracles.find_candidates_scan(index, query, config))
+            changed += after != before
+        assert changed > 10
 
 
 class TestPhraseChecks:
@@ -217,7 +364,8 @@ class TestPhraseChecks:
             documents, index = random_corpus(rng)
             query = random_query(rng)
             if warm:
-                index.warm_query(query)
+                for term in query.distinct_terms():
+                    index.phrase_df(term.tokens)
             checked.clear()
             config = RetrievalConfig(window=int(rng.integers(1, 16)))
             got = find_candidates(index, query, config)

@@ -39,7 +39,7 @@ class TestStructure:
         for query in queries:
             cand = find_candidates(index, query, config)
             judged = judgments.good_for(query.query_id) | judgments.bad_for(query.query_id)
-            assert judged <= set(cand.entity_ids())
+            assert judged <= set(cand.support)
             for eid in judged:
                 assert len(cand.support[eid]) >= SMALL.base_contexts
 
@@ -49,7 +49,7 @@ class TestStructure:
         for query in queries:
             cand = find_candidates(index, query, config)
             prefix = query.query_id
-            assert all(eid.startswith(prefix) for eid in cand.entity_ids())
+            assert all(eid.startswith(prefix) for eid in sorted(cand.support))
 
     def test_filler_documents_carry_no_mentions(self):
         documents, _, _, _ = build()
@@ -86,7 +86,7 @@ class TestSignalChannels:
         for query in queries:
             cand = find_candidates(index, query, config)
             good = judgments.good_for(query.query_id)
-            for eid in cand.entity_ids():
+            for eid in sorted(cand.support):
                 sizes[eid in good].append(len(cand.support[eid]))
         lo, hi = SMALL.base_contexts, SMALL.base_contexts + SMALL.context_spread
         assert all(lo <= n <= hi for group in sizes.values() for n in group)
@@ -117,7 +117,7 @@ class TestSignalChannels:
             cand = find_candidates(index, query, config)
             good = judgments.good_for(query.query_id)
             rarest = query.terms[-1].text
-            for eid in cand.entity_ids():
+            for eid in sorted(cand.support):
                 for ctx in cand.support[eid]:
                     totals[eid in good] += 1
                     if rarest in ctx.matches:
