@@ -373,17 +373,21 @@ def balog2_score(
     stats = index.stats
     counts_q = _unigram_multiplicity(query)
     clen = max(stats.collection_len, 1)
+    # Each term's multiplicity, starts lookup and smoothing mass.
+    terms = [
+        (n, index.term_postings((term,)), smoothing * stats.cf.get(term, 0) / clen)
+        for term, n in counts_q.items()
+    ]
     scores = []
     for ctx in contexts:
         # The window's token positions, clipped to the document as a slice is.
         span = range(len(index.documents[ctx.doc_id].tokens))[slice(*ctx.window)]
         length = max(len(span), 1)
         log_prob = 0.0
-        for term, n in counts_q.items():
-            post = index.postings.get(term, {}).get(ctx.doc_id, ())
+        for n, starts, background in terms:
+            post = starts[ctx.doc_id]
             tf = bisect_left(post, span.stop) - bisect_left(post, span.start) if span else 0
-            p = (1.0 - smoothing) * tf / length
-            p += smoothing * stats.cf.get(term, 0) / clen
+            p = (1.0 - smoothing) * tf / length + background
             if p <= 0.0:
                 log_prob = -math.inf
                 break
@@ -485,17 +489,18 @@ def petkova_score(
     counts_q = _unigram_multiplicity(query)
     terms = sorted(counts_q)
     clen = max(stats.collection_len, 1)
-    per_term = {t: [] for t in terms}
+    starts = [index.term_postings((t,)) for t in terms]
+    background = [smoothing * stats.cf.get(t, 0) / clen for t in terms]
+    per_term = [[] for _ in terms]
     for ctx in contexts:
-        where = {t: index.postings.get(t, {}).get(ctx.doc_id, ()) for t in terms}
+        where = {t: s[ctx.doc_id] for t, s in zip(terms, starts)}
         length = len(index.documents[ctx.doc_id].tokens)
         positional = _positional_masses(length, ctx.mention_offset, kernel_width, where)
-        for t in terms:
-            p = (1.0 - smoothing) * positional[t] + smoothing * stats.cf.get(t, 0) / clen
-            per_term[t].append(p)
+        for t, mass, out in zip(terms, background, per_term):
+            out.append((1.0 - smoothing) * positional[t] + mass)
     log_prob = 0.0
-    for t in terms:
-        mean_p = float(np.sum(np.sort(np.asarray(per_term[t])))) / len(contexts)
+    for t, ps in zip(terms, per_term):
+        mean_p = float(np.sum(np.sort(np.asarray(ps)))) / len(contexts)
         if mean_p <= 0.0:
             return 0.0
         log_prob += counts_q[t] * math.log(mean_p)

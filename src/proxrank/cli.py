@@ -230,31 +230,48 @@ def _add_feature_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, default=0.75, help="BM25 b")
 
 
+# The training flags and their defaults; a baseline system takes none of them.
+_TRAIN_DEFAULTS = {
+    "aggregator": "sum",
+    "ridge": 10.0,
+    "smooth": 1.0,
+    "max_iters": 200,
+    "tol": 1e-6,
+    "pair_cap": 10_000,
+    "ridge_grid": None,
+    "with_cutoff": None,
+}
+
+
 def _add_train_args(p: argparse.ArgumentParser, systems: tuple[str, ...] = TRAINED_SYSTEMS) -> None:
     p.add_argument("--system", choices=systems, default="features")
-    p.add_argument(
-        "--aggregator",
-        default="sum",
-        help="sum, avg, softmax, softcount, or softor",
-    )
-    p.add_argument("--ridge", type=float, default=10.0, help="ridge width (weaker when larger)")
-    p.add_argument("--smooth", type=float, default=1.0, help="grid smoothness multiplier")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--pair-cap", type=int, default=10_000)
+    p.add_argument("--aggregator", help="sum, avg, softmax, softcount, or softor")
+    p.add_argument("--ridge", type=float, help="ridge width (weaker when larger)")
+    p.add_argument("--smooth", type=float, help="grid smoothness multiplier")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--pair-cap", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--ridge-grid",
-        default=None,
         help="comma list of ridge widths to select from by inner k-fold MAP",
     )
     p.add_argument(
         "--with-cutoff",
         type=float,
-        default=None,
         metavar="RIDGE",
         help="additionally fit a rank-cutoff decay with this ridge",
     )
+    p.set_defaults(**_TRAIN_DEFAULTS)
+
+
+def _refuse_training_flags(args: argparse.Namespace) -> None:
+    """A baseline system is not trained: refuse any training flag set away
+    from its default, rather than record it in the manifest unused."""
+    given = [name for name, default in _TRAIN_DEFAULTS.items() if getattr(args, name) != default]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise TrainingError(f"--system {args.system} is not trained; it takes no {flags}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,6 +602,7 @@ def cmd_xval(args: argparse.Namespace, stage: dict) -> list[str]:
     name = args.name or args.system
     stage["name"] = "featurize"
     if args.system in BASELINE_SYSTEMS:
+        _refuse_training_flags(args)
         retrieval, bm25 = _retrieval_settings(args)
         items: Sequence = collect_candidates(index, queries, retrieval)
         ranker = baseline_ranker(args.system, index, bm25, args.lm_lambda, args.kernel_width)

@@ -13,9 +13,11 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, islice
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "BEST_PER_DOCUMENT",
@@ -29,9 +31,11 @@ __all__ = [
     "Mention",
     "MentionGeometry",
     "PER_MENTION",
+    "Postings",
     "Query",
     "QueryTerm",
     "RetrievalConfig",
+    "TermPostings",
     "TermState",
     "compute_idf",
     "extract_context",
@@ -317,33 +321,137 @@ class RetrievalConfig:
             raise CorpusError(f"unknown granularity {self.granularity!r}")
 
 
+# Tokens whose postings an index keeps (CorpusIndex.term_postings), the
+# least recently read dropped first; a request reads a few query terms.
+TERM_CACHE = 64
+
+
+@dataclass(frozen=True, eq=False)
+class Postings:
+    """A corpus's positional postings as compressed sparse rows.
+
+    The documents' tokens, in ingest order, form one stream: document k
+    (``doc_ids[k]``) covers stream offsets [doc_starts[k], doc_starts[k+1]).
+    Token id t (``tokens[text]``, numbered in first-occurrence order)
+    occurs at the stream offsets positions[offsets[t]:offsets[t+1]], in
+    ascending order.  ``doc_starts``, ``offsets`` and ``positions`` are
+    int32 arrays, so a stream holds at most 2**31 - 1 tokens.
+    """
+
+    tokens: dict[str, int]
+    doc_ids: tuple[str, ...]
+    doc_starts: np.ndarray
+    offsets: np.ndarray
+    positions: np.ndarray
+
+    @cached_property
+    def numbers(self) -> dict[str, int]:
+        """Each doc id's document number k."""
+        return {doc_id: k for k, doc_id in enumerate(self.doc_ids)}
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """``doc_starts`` as a list, for scalar reads."""
+        return self.doc_starts.tolist()
+
+    def term(self, text: str) -> "TermPostings":
+        """The postings of one token; an unknown token has none."""
+        t = self.tokens.get(text)
+        if t is None:
+            return TermPostings(self, self.positions[:0])
+        return TermPostings(self, self.positions[self.offsets[t] : self.offsets[t + 1]])
+
+
+class TermPostings(dict):
+    """One term's occurrences: ``stream`` holds its start offsets in the
+    corpus stream, ascending.
+
+    As a mapping, it takes a doc id to the term's starts in that document,
+    counted from the document's first token, ascending (none for an
+    unknown doc id).  A document's starts are computed on its first read
+    and kept, so ``get``, ``in``, ``len`` and iteration see only the
+    documents read so far; :meth:`grouped` gives every document's.
+    :meth:`fill` reads many documents in one pass over ``stream``.
+    """
+
+    __slots__ = ("postings", "stream")
+
+    def __init__(
+        self,
+        postings: Postings,
+        stream: np.ndarray,
+        found: Mapping[str, Sequence[int]] | None = None,
+    ) -> None:
+        super().__init__(found or {})
+        self.postings = postings
+        self.stream = stream
+
+    def __missing__(self, doc_id: str) -> Sequence[int]:
+        k = self.postings.numbers.get(doc_id)
+        if k is None:
+            return ()
+        lo, hi = self.postings.bounds[k : k + 2]
+        a, b = np.searchsorted(self.stream, (lo, hi)).tolist()
+        found = self[doc_id] = tuple(p - lo for p in self.stream[a:b].tolist())
+        return found
+
+    def documents(self) -> np.ndarray:
+        """The document number of each start."""
+        return np.searchsorted(self.postings.doc_starts[1:], self.stream, side="right")
+
+    def fill(self, names: Sequence[str], keep: np.ndarray, documents: np.ndarray) -> None:
+        """Read the documents with doc ids ``names`` in one pass.
+
+        ``keep`` marks them in a mask over all document numbers, and
+        ``documents`` is :meth:`documents`.
+        """
+        doc_ids, bounds = self.postings.doc_ids, self.postings.bounds
+        found = dict.fromkeys(names, ())
+        held = keep[documents]
+        for k, p in zip(documents[held].tolist(), self.stream[held].tolist()):
+            found[doc_ids[k]] += (p - bounds[k],)
+        self.update(found)
+
+    def grouped(self) -> dict[str, list[int]]:
+        """The starts of every document holding the term, in ingest order."""
+        doc_ids, bounds = self.postings.doc_ids, self.postings.bounds
+        found: dict[str, list[int]] = {}
+        for k, p in zip(self.documents().tolist(), self.stream.tolist()):
+            found.setdefault(doc_ids[k], []).append(p - bounds[k])
+        return found
+
+
 class CorpusIndex:
     """Positional inverted index over an ingested corpus.
 
-    ``postings`` maps each token to the documents holding it, in ingest
-    order, and each document to the ascending tuple of the token's
-    positions.  As :func:`ingest_corpus` builds it, the index is compact:
-    each token text is one ``str`` shared by every document and the
-    postings key, each position one ``int`` shared by every posting, and
-    each posting a tuple.  Loading the benchmark's baseline-read corpus
-    (656 documents, 768k tokens, 3,016 distinct) raises peak RSS by about
-    30 MB, against 104 MB with one string per occurrence, a fresh int per
-    position and list postings, and leaves 84k objects tracked by the
-    cyclic garbage collector, against 301k.
+    ``postings`` is a :class:`Postings`: a few int32 arrays over the
+    concatenated token stream.  Readers get a term's occurrences from
+    :meth:`term_postings`.  As :func:`ingest_corpus` builds it, every
+    token text is one ``str`` shared by every document that holds it.
+    On the benchmark's baseline-read corpus (656 documents with 6,176
+    mentions, 768k tokens, 3,016 distinct) the postings take 3.1 MB and
+    a load raises RSS by about 19 MB, against 27 MB with a tuple of
+    shared ints per (token, document).  The cyclic garbage collector
+    tracks about 7.1k objects of a loaded index (its documents, mentions
+    and mention tuples) and runs 11 times during the load, in 8 ms,
+    against 524 times in 120 ms with those 215k tuples.
 
-    Immutable after construction apart from three caches, each filled on
-    first use: phrase statistics (:meth:`phrase_df`), never changed after,
-    and two per-document caches, rebuilt only for a document whose tokens
-    or mentions were replaced: term state (:meth:`CorpusStats.term_state`,
-    built on a document's first whole-document scoring, not at ingest) and
-    mention geometry (:meth:`mention_geometry`, built on a document's first
-    retrieval).  Concurrent readers are safe.
+    Immutable after construction apart from four caches, each filled on
+    first use: phrase statistics (:meth:`phrase_df`), never changed after;
+    the postings of the :data:`TERM_CACHE` tokens read most recently, with
+    the per-document starts read from them; and two per-document caches,
+    rebuilt only for a document whose tokens or mentions were replaced:
+    term state (:meth:`CorpusStats.term_state`, built on a document's
+    first whole-document scoring, not at ingest) and mention geometry
+    (:meth:`mention_geometry`, built on a document's first retrieval).
+    Postings and starts come from ingest, whatever a document's tokens
+    are replaced by.  Concurrent readers are safe.
     """
 
     def __init__(
         self,
         documents: dict[str, Document],
-        postings: dict[str, dict[str, tuple[int, ...]]],
+        postings: Postings,
         stats: CorpusStats,
         entity_types: dict[str, frozenset[str]],
     ) -> None:
@@ -361,7 +469,7 @@ class CorpusIndex:
         if not key:
             return 0
         if len(key) > 1 and key not in self.stats.phrase_df:
-            self.term_starts(key)  # caches the phrase's document frequency
+            self.term_postings(key)  # caches the phrase's document frequency
         return self.stats.doc_frequency(key)
 
     def mention_geometry(self, document: Document) -> MentionGeometry:
@@ -375,35 +483,55 @@ class CorpusIndex:
             geometry = self._geometry[document.doc_id] = MentionGeometry.of(document.mentions)
         return geometry
 
+    @cached_property
+    def _numbered(self) -> list[Document]:
+        # The documents by document number (see Postings).
+        return [self.documents[doc_id] for doc_id in self.postings.doc_ids]
+
     # -- occurrence lookup ---------------------------------------------
+
+    @cached_property
+    def _token_postings(self):
+        # Holds the postings, not the index, so dropping an index frees it
+        # without a collection.
+        return lru_cache(maxsize=TERM_CACHE)(self.postings.term)
+
+    def term_postings(self, term_tokens: Sequence[str]) -> TermPostings:
+        """The occurrences of a term (or phrase).
+
+        A token's postings are kept (see :data:`TERM_CACHE`), so that
+        retrieval and the baselines of one request share their starts.  A
+        phrase is checked once at each posting of its first token, on
+        every call, and its document frequency is cached on the way.
+        """
+        if len(term_tokens) == 1:
+            return self._token_postings(term_tokens[0])
+        key = tuple(term_tokens)
+        if not key:
+            return TermPostings(self.postings, self.postings.positions[:0])
+        found: dict[str, list[int]] = {}
+        for doc_id, candidates in self._token_postings(key[0]).grouped().items():
+            starts = phrase_starts(self.documents[doc_id].tokens, key, candidates)
+            if starts:
+                found[doc_id] = starts
+        self.stats.phrase_df.setdefault(key, len(found))
+        bounds, numbers = self.postings.bounds, self.postings.numbers
+        stream = [bounds[numbers[doc_id]] + p for doc_id, starts in found.items() for p in starts]
+        return TermPostings(self.postings, np.array(stream, dtype=np.int32), found)
 
     def occurrences(self, doc_id: str, term_tokens: Sequence[str]) -> list[int]:
         """Start positions of the term (or phrase) in the document."""
         if not term_tokens:
             return []
-        first = self.postings.get(term_tokens[0], {}).get(doc_id, ())
+        first = self.term_postings(term_tokens[:1])[doc_id]
         if len(term_tokens) == 1:  # a token's postings are its starts
             return list(first)
         return phrase_starts(self.documents[doc_id].tokens, term_tokens, first)
 
     def term_starts(self, term_tokens: Sequence[str]) -> Mapping[str, Sequence[int]]:
-        """Start positions of the term (or phrase) in each document holding it.
-
-        A token's starts are its postings, returned as they are.  A phrase
-        is checked once at each posting of its first token, and its
-        document frequency is cached on the way.
-        """
-        key = tuple(term_tokens)
-        first = self.postings.get(key[0], {}) if key else {}
-        if len(key) <= 1:
-            return first
-        found: dict[str, list[int]] = {}
-        for doc_id, candidates in first.items():
-            starts = phrase_starts(self.documents[doc_id].tokens, key, candidates)
-            if starts:
-                found[doc_id] = starts
-        self.stats.phrase_df.setdefault(key, len(found))
-        return found
+        """Start positions of the term (or phrase) in each document holding it,
+        in ingest order (see :meth:`term_postings`)."""
+        return self.term_postings(term_tokens).grouped()
 
 
 def ingest_corpus(
@@ -420,32 +548,30 @@ def ingest_corpus(
     offending record number.  Ingestion is idempotent: the same input
     always yields an identical index.
 
-    The index is compact (see :class:`CorpusIndex` for its size): every
-    occurrence of a token text, in the documents and in the postings keys,
-    is one shared ``str``, every position one shared ``int``, and each
-    posting a ``tuple``.  CPython's cyclic garbage collector untracks a
-    tuple of ints at its first pass over it, so a loaded corpus leaves few
-    objects for later collections to walk.
+    Each raw token is lowercased once, at its first occurrence, and mapped
+    to a token id; every document's tokens are then one shared ``str`` per
+    text.  The postings come from one sort of the stream's (token id,
+    position) pairs, and ``df``/``cf`` from ``np.bincount``, so the work
+    per token is two dict lookups and array passes (see :class:`Postings`
+    and :class:`CorpusIndex` for the sizes).
     """
     documents: dict[str, Document] = {}
-    postings: dict[str, dict[str, tuple[int, ...]]] = {}
-    doc_len: dict[str, int] = {}
-    vocab: dict[str, str] = {}  # each token text to its one shared copy
-    positions: list[int] = []  # position p is positions[p], shared by every document
+    vocabulary = _Vocabulary()
+    stream: list[int] = []  # every document's token ids, in ingest order
 
     for lineno, rec in enumerate(records, 1):
         rec = _parse_record(rec, lineno)
         if rec is None:
             continue
-        known = len(vocab)
+        known = len(vocabulary.texts)
         try:
-            doc = _document_from_record(rec, vocab)
+            doc, token_ids = _document_from_record(rec, vocabulary)
         except CorpusError as exc:
             raise CorpusError(f"record {lineno}: {exc}") from None
         if doc.doc_id in documents:
             raise CorpusError(f"record {lineno}: duplicate doc_id {doc.doc_id!r}")
-        # Each distinct token is checked once, in the record that first holds it.
-        bad = [t for t in islice(reversed(vocab), len(vocab) - known) if t.split() != [t]]
+        # Each distinct text is checked once, in the record that first holds it.
+        bad = [t for t in vocabulary.texts[known:] if t.split() != [t]]
         if bad:
             k = min(doc.tokens.index(t) for t in bad)
             raise CorpusError(
@@ -453,26 +579,79 @@ def ingest_corpus(
                 f"whitespace: {doc.tokens[k]!r}"
             )
         documents[doc.doc_id] = doc
-        doc_len[doc.doc_id] = len(doc.tokens)
-        if len(doc.tokens) > len(positions):
-            positions.extend(range(len(positions), len(doc.tokens)))
-        where: dict[str, list[int]] = defaultdict(list)
-        for tok, pos in zip(doc.tokens, positions):
-            where[tok].append(pos)
-        for tok, starts in where.items():
-            postings.setdefault(tok, {})[doc.doc_id] = tuple(starts)
+        stream += token_ids
 
+    if len(stream) > np.iinfo(np.int32).max:
+        raise CorpusError(f"corpus of {len(stream)} tokens exceeds the int32 postings")
+    token_ids = np.fromiter(stream, dtype=np.int32, count=len(stream))
+    del stream
+    lengths = [len(doc.tokens) for doc in documents.values()]
+    doc_starts = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=doc_starts[1:])
+    texts = vocabulary.texts
+    postings, df, cf = _postings(token_ids, vocabulary.ids, tuple(documents), doc_starts)
     stats = CorpusStats(
         num_docs=len(documents),
-        df={t: len(d) for t, d in postings.items()},
-        cf={t: sum(map(len, d.values())) for t, d in postings.items()},
-        collection_len=sum(doc_len.values()),
-        doc_len=doc_len,
+        df=dict(zip(texts, df.tolist())),
+        cf=dict(zip(texts, cf.tolist())),
+        collection_len=len(token_ids),
+        doc_len=dict(zip(documents, lengths)),
     )
     entity_types: dict[str, frozenset[str]] = {}
     if catalog is not None:
         entity_types = _parse_catalog(catalog)
     return CorpusIndex(documents, postings, stats, entity_types)
+
+
+def _postings(
+    token_ids: np.ndarray, tokens: dict[str, int], doc_ids: tuple[str, ...], doc_starts: np.ndarray
+) -> tuple[Postings, np.ndarray, np.ndarray]:
+    # The postings, then each token's document and collection frequency.
+    cf = np.bincount(token_ids, minlength=len(tokens))
+    offsets = np.zeros(len(tokens) + 1, dtype=np.int32)
+    np.cumsum(cf, out=offsets[1:])
+    # Sorting (token id, position) pairs, packed into one int64 each,
+    # groups the positions by token, ascending within each.
+    pairs = token_ids.astype(np.int64) << 32
+    pairs += np.arange(len(token_ids), dtype=np.int32)
+    pairs.sort()
+    positions = pairs.astype(np.int32)  # the low half
+    del pairs
+    # A posting opens a (token, document) pair when it is its token's first
+    # or lies in another document than the posting before it.
+    docs = np.repeat(np.arange(len(doc_ids), dtype=np.int32), np.diff(doc_starts))[positions]
+    opens = np.ones(len(positions), dtype=bool)
+    np.not_equal(docs[1:], docs[:-1], out=opens[1:])
+    del docs
+    opens[offsets[:-1][cf > 0]] = True
+    df = np.bincount(token_ids[positions[opens]], minlength=len(tokens))
+    return Postings(tokens, doc_ids, doc_starts, offsets, positions), df, cf
+
+
+@dataclass
+class _Vocabulary:
+    """Token ids for raw tokens.  A raw token is lowercased once, at its
+    first occurrence, and each lowercased text is numbered in order of
+    first occurrence and kept as the one copy that documents share."""
+
+    ids: dict[str, int] = field(default_factory=dict)  # text -> token id
+    texts: list[str] = field(default_factory=list)  # token id -> text
+    raw: dict[str, int] = field(default_factory=dict)  # raw token -> token id
+
+    def encode(self, doc_id: str, tokens: list) -> list[int]:
+        try:
+            return list(map(self.raw.__getitem__, tokens))
+        except (KeyError, TypeError):  # an unseen token, or not a string
+            pass
+        for tok in tokens:
+            if not isinstance(tok, str):
+                raise CorpusError(f"doc {doc_id!r}: tokens must be a list of strings")
+            if tok not in self.raw:
+                text = tok.lower()
+                t = self.raw[tok] = self.ids.setdefault(text, len(self.texts))
+                if t == len(self.texts):
+                    self.texts.append(text)
+        return list(map(self.raw.__getitem__, tokens))
 
 
 def _parse_record(rec: Mapping | str | bytes, lineno: int) -> Mapping | None:
@@ -489,19 +668,14 @@ def _parse_record(rec: Mapping | str | bytes, lineno: int) -> Mapping | None:
     return rec
 
 
-def _document_from_record(rec: Mapping, vocab: dict[str, str]) -> Document:
+def _document_from_record(rec: Mapping, vocabulary: _Vocabulary) -> tuple[Document, list[int]]:
     doc_id = rec.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError("missing or invalid doc_id")
     tokens = rec.get("tokens")
-    try:
-        # str.lower type-checks each token as it lowercases it.
-        lowered = list(map(str.lower, tokens)) if isinstance(tokens, list) else None
-    except TypeError:
-        lowered = None
-    if lowered is None:
+    if not isinstance(tokens, list):
         raise CorpusError(f"doc {doc_id!r}: tokens must be a list of strings")
-    tokens = tuple(map(vocab.setdefault, lowered, lowered))
+    token_ids = vocabulary.encode(doc_id, tokens)
     mentions = []
     for m in rec.get("mentions", []):
         if not isinstance(m, Mapping):
@@ -513,9 +687,10 @@ def _document_from_record(rec: Mapping, vocab: dict[str, str]) -> Document:
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"doc {doc_id!r}: bad mention record: {exc}") from None
         mentions.append(mention)
+    tokens = tuple(map(vocabulary.texts.__getitem__, token_ids))
     doc = Document(doc_id=doc_id, tokens=tokens, mentions=mentions)
     doc.validate()
-    return doc
+    return doc, token_ids
 
 
 def _parse_catalog(catalog: Iterable[Mapping | str | bytes]) -> dict[str, frozenset[str]]:
@@ -567,33 +742,26 @@ def phrase_starts(
     return [p for p in candidates if tuple(tokens[p : p + len(key)]) == key]
 
 
-def _span_distance(pos: int, length: int, start: int, end: int) -> int:
-    # Token gap between occupied span [pos, pos+length) and mention
-    # [start, end), measured edge to edge; overlap floors at 1.
-    if pos + length <= start:
-        return start - (pos + length - 1)
-    if pos >= end:
-        return pos - (end - 1)
-    return 1
-
-
 def _context_from_occurrences(
     document: Document,
     mention: Mention,
     occurrences: Mapping[str, tuple[int, Sequence[int]]],
     window: int,
 ) -> Context | None:
-    # Positions are sorted, and the distance to the mention falls along
-    # the occurrences that end before it and rises from the first one
-    # that does not, so the nearest is one of the two around that point.
+    # Distances are token gaps between an occurrence [p, p + length) and
+    # the mention [start, end), edge to edge, with overlap floored at 1.
+    # Positions are sorted: those before k end before the mention, at a
+    # distance that falls towards k, and from k on the distance rises, so
+    # the nearest is positions[k - 1] or positions[k].
+    start, end = mention.start, mention.end
     matches: dict[str, int] = {}
     for text, (length, positions) in occurrences.items():
-        k = bisect_left(positions, mention.start - length + 1)
-        near = positions[max(k - 1, 0) : k + 1]
-        if near:
-            best = min(_span_distance(p, length, mention.start, mention.end) for p in near)
-            if best <= window:
-                matches[text] = best
+        k = bisect_left(positions, start - length + 1)
+        best = start - (positions[k - 1] + length - 1) if k else window + 1
+        if k < len(positions):
+            best = min(best, max(positions[k] - (end - 1), 1))
+        if best <= window:
+            matches[text] = best
     if not matches:
         return None
     lo = max(0, mention.start - window)
@@ -644,35 +812,46 @@ def find_candidates(
     carries the query's target type.  Output is independent of document
     processing order.
 
-    Reads come from the positional index, not from document scans:
-    occurrences are the postings (a phrase is checked token by token once
-    per posting of its first token, see :meth:`CorpusIndex.term_starts`),
-    only the mentions some occurrence can reach are visited (found in the
-    document's :class:`MentionGeometry`, built once per document), and each
-    term's nearest occurrence is found by bisection.
+    Reads come from the postings arrays, not from document scans: each
+    term's starts are placed in their documents by one search (a phrase
+    is checked token by token once per posting of its first token, see
+    :meth:`CorpusIndex.term_postings`), documents without mentions are
+    dropped before any per-document work, and the starts in the others
+    are read in one pass per term and kept for the baselines of the same
+    request.  Only the mentions some occurrence can reach are visited
+    (found in the document's :class:`MentionGeometry`, built once per
+    document), and each term's nearest occurrence is found by bisection.
     """
     config = config or RetrievalConfig()
     terms = query.distinct_terms()
 
     # One phrase check per posting of its first token; this also caches
     # the phrase statistics that IDF reads.
-    term_starts = {t.text: index.term_starts(t.tokens) for t in terms}
-    cand_docs: set[str] = set()
-    for starts in term_starts.values():
-        cand_docs.update(starts)
-    for t in terms:
+    postings = [index.term_postings(t.tokens) for t in terms]
+    held = [p.documents() for p in postings]
+    doc_ids = index.postings.doc_ids
+    hit = np.zeros(len(doc_ids), dtype=bool)
+    for docs in held:
+        hit[docs] = True
+    for t, docs in zip(terms, held):
         if t.required:
-            cand_docs.intersection_update(term_starts[t.text])
+            hit &= np.isin(np.arange(len(doc_ids)), docs)
+    # A document without mentions holds no context, so only the others'
+    # starts are read.  Mentions may be replaced after ingest, so this
+    # reads each candidate's own.
+    documents = index._numbered
+    mentioned = [k for k in np.flatnonzero(hit).tolist() if documents[k].mentions]
+    names = [doc_ids[k] for k in mentioned]
+    keep = np.zeros(len(doc_ids), dtype=bool)
+    keep[mentioned] = True
+    for p, docs in zip(postings, held):
+        p.fill(names, keep, docs)
 
     check_type = bool(query.target_type) and bool(index.entity_types)
     support: dict[str, list[Context]] = defaultdict(list)
-    for doc_id in sorted(cand_docs):
-        doc = index.documents[doc_id]
-        if not doc.mentions:
-            continue
-        occurrences = {
-            t.text: (len(t.tokens), term_starts[t.text].get(doc_id, ())) for t in terms
-        }
+    for k, doc_id in zip(mentioned, names):
+        doc = documents[k]
+        occurrences = {t.text: (len(t.tokens), p[doc_id]) for t, p in zip(terms, postings)}
         here: list[Context] = []
         for mention in index.mention_geometry(doc).reachable(occurrences.values(), config.window):
             if check_type and query.target_type not in index.entity_types.get(

@@ -394,6 +394,56 @@ class TestXvalCommand:
         assert report.system == "count"
         assert report.macro().ap > 0.8  # count channel is the planted signal
 
+    @pytest.mark.parametrize("system", ["count", "balog2", "petkova"])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--aggregator", "nosuch"], "--aggregator"),
+            (["--with-cutoff", "1.0"], "--with-cutoff"),
+            (["--aggregator", "softor", "--max-iters", "5"], "--aggregator, --max-iters"),
+            (["--ridge", "3", "--smooth", "2", "--tol", "nan"], "--ridge, --smooth, --tol"),
+            (["--pair-cap", "7", "--ridge-grid", "1,10"], "--pair-cap, --ridge-grid"),
+        ],
+    )
+    def test_baseline_system_refuses_training_flags(
+        self, synth_dir, tmp_path, capsys, system, flags, named
+    ):
+        # A baseline is not trained; a training flag is refused, not
+        # recorded unused in an "ok" manifest.
+        out = str(tmp_path / "xvb-flags")
+        code = main(
+            [
+                "xval", "--system", system, *flags,
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"xval: featurize: --system {system} is not trained; it takes no {named}\n" in err
+        manifest = manifest_of(out)
+        assert manifest["status"] == "failed"
+        assert manifest["config"]["system"] == system
+        assert manifest["artifacts"] == []
+        assert not os.path.exists(os.path.join(out, "report.tsv"))
+
+    def test_baseline_system_takes_default_training_values_and_a_seed(self, synth_dir, tmp_path):
+        out = str(tmp_path / "xvb-defaults")
+        code = main(
+            [
+                "xval", "--system", "balog2", "--aggregator", "sum", "--max-iters", "200",
+                "--seed", "3", "--protocol", "kfold", "--folds", "2",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+            ]
+        )
+        assert code == 0
+        assert manifest_of(out)["status"] == "ok"
+
 
     def test_loocv_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
         # Each process draws its own string-hash seed, which orders set

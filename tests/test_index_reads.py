@@ -370,7 +370,7 @@ class TestPhraseChecks:
             config = RetrievalConfig(window=int(rng.integers(1, 16)))
             got = find_candidates(index, query, config)
             phrases = [t.tokens for t in query.distinct_terms() if t.is_phrase]
-            want = Counter({p: len(index.postings.get(p[0], {})) for p in phrases})
+            want = Counter({p: len(index.term_starts(p[:1])) for p in phrases})
             assert Counter(checked) == +want
             total += len(checked)
             for p in phrases:
@@ -378,6 +378,67 @@ class TestPhraseChecks:
                 assert index.stats.phrase_df[p] == brute
             assert listing(got) == listing(oracles.find_candidates_scan(index, query, config))
         assert total > 50
+
+
+class TestPhrasesAtDocumentBoundaries:
+    """The postings address one stream of every document's tokens, so a
+    phrase's first tokens at the end of one document are followed there by
+    the next document's opening tokens.  A phrase matches inside one
+    document only."""
+
+    @staticmethod
+    def planted_corpus(rng):
+        # Documents that end with a phrase's head, followed (now and then
+        # past empty documents) by one that opens with its tail; mentions
+        # sit at both sides of each boundary.
+        phrase = tuple(VOCAB[i] for i in rng.integers(0, len(VOCAB), int(rng.integers(2, 4))))
+        documents, last = [], None
+        for k in range(int(rng.integers(2, 8))):
+            if rng.random() < 0.15:
+                documents.append([])
+                continue
+            n = int(rng.integers(0, 30))
+            documents.append([VOCAB[i] for i in rng.choice(len(VOCAB), size=n, p=VOCAB_P)])
+            if last is not None and rng.random() < 0.7:
+                cut = int(rng.integers(1, len(phrase)))
+                documents[last] += phrase[:cut]
+                documents[k][:0] = phrase[cut:]
+            last = k
+        built = []
+        for k, tokens in enumerate(documents):
+            n = len(tokens)
+            mentions = ()
+            if n:
+                mentions = random_mentions(rng, n) + (Mention("e0", 0, 1), Mention("e1", n - 1, n))
+            built.append(Document(f"d{k}", tuple(tokens), mentions))
+        return phrase, built, documents_to_index(built)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phrases_do_not_run_across_documents(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        spanning = 0
+        for _ in range(60):
+            phrase, documents, index = self.planted_corpus(rng)
+            stream = [tok for doc in documents for tok in doc.tokens]
+            inside = sum(len(oracles.phrase_starts_brute(doc.tokens, phrase)) for doc in documents)
+            spanning += len(oracles.phrase_starts_brute(stream, phrase)) - inside
+            want = {
+                doc.doc_id: oracles.phrase_starts_brute(doc.tokens, phrase)
+                for doc in documents
+                if oracles.phrase_starts_brute(doc.tokens, phrase)
+            }
+            assert index.term_starts(phrase) == want
+            assert index.phrase_df(phrase) == len(want)
+            for doc in documents:
+                assert index.occurrences(doc.doc_id, phrase) == want.get(doc.doc_id, [])
+            query = Query("q", [QueryTerm(" ".join(phrase), required=bool(rng.random() < 0.5))])
+            if rng.random() < 0.5:
+                query.terms.append(QueryTerm(VOCAB[int(rng.integers(0, len(VOCAB)))]))
+            config = RetrievalConfig(window=int(rng.integers(1, 6)))
+            got = find_candidates(index, query, config)
+            assert listing(got) == listing(oracles.find_candidates_scan(index, query, config))
+            assert_scores_match(index, query, got.support, 0.5, 3.0)
+        assert spanning > 50  # the stream holds many matches no document does
 
 
 class TestQueryTermTokens:

@@ -4,18 +4,29 @@
 On random corpora the package must build the same documents, postings,
 statistics and mentions, in the same key orders, and every malformed
 input must fail with the same message.  The compact form itself is
-checked directly: tuple postings, one shared object per token text and
-per position, and no posting tracked by the cyclic garbage collector.
+checked directly: postings in a few int32 arrays, one shared object per
+token text, objects for the cyclic garbage collector per document rather
+than per token, and no reference cycle that keeps a dropped index alive.
 """
 
 import gc
 import json
 import platform
+import weakref
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from proxrank.corpus import CorpusError, ingest_corpus
+from proxrank.aggregators import balog2_score, petkova_score
+from proxrank.corpus import (
+    CorpusError,
+    Query,
+    QueryTerm,
+    RetrievalConfig,
+    find_candidates,
+    ingest_corpus,
+)
 
 import oracles
 
@@ -57,11 +68,26 @@ def random_inputs(rng):
     return records, catalog
 
 
+def nested(postings):
+    """The package's CSR postings in the oracle's nested form: each token
+    to each document holding it to its positions there."""
+    if isinstance(postings, dict):  # the oracle's own
+        return postings
+    doc_starts = postings.doc_starts.tolist()
+    out = {}
+    for text, t in postings.tokens.items():
+        docs = out[text] = {}
+        for p in postings.positions[postings.offsets[t] : postings.offsets[t + 1]].tolist():
+            k = bisect_right(doc_starts, p) - 1
+            docs.setdefault(postings.doc_ids[k], []).append(p - doc_starts[k])
+    return out
+
+
 def content(index):
     """Everything an index holds, in its order, dict orders included."""
     return (
         [(d, doc.doc_id, doc.tokens, doc.mentions) for d, doc in index.documents.items()],
-        [(t, [(d, list(p)) for d, p in docs.items()]) for t, docs in index.postings.items()],
+        [(t, [(d, list(p)) for d, p in docs.items()]) for t, docs in nested(index.postings).items()],
         list(index.stats.df.items()),
         list(index.stats.cf.items()),
         list(index.stats.doc_len.items()),
@@ -137,7 +163,8 @@ class TestAgainstOracle:
             got = ingest_corpus(records, catalog)
             want = oracles.ingest_scan(records, catalog)
             assert content(got) == content(want)
-            shared += sum(len(doc.tokens) for doc in got.documents.values()) - len(got.postings)
+            tokens = sum(len(doc.tokens) for doc in got.documents.values())
+            shared += tokens - len(got.postings.tokens)
         assert shared > 1000  # repeated tokens are common
 
     @pytest.mark.parametrize("seed", range(4))
@@ -170,37 +197,68 @@ class TestAgainstOracle:
 
 class TestCompactForm:
     @staticmethod
-    def index():
+    def records(repeat=1):
         rng = np.random.default_rng(0)
         records = [random_record(rng, f"d{k}") for k in range(12)]
         records.append({"doc_id": "long", "tokens": ["A", "b"] * LONG, "mentions": []})
-        return ingest_corpus(records)
+        for rec in records:
+            rec["tokens"] = rec["tokens"] * repeat
+        return records
 
-    def test_postings_are_tuples(self):
-        index = self.index()
-        for docs in index.postings.values():
-            assert all(type(p) is tuple for p in docs.values())
+    def test_postings_are_a_few_int32_arrays(self):
+        index = ingest_corpus(self.records())
+        postings, stats = index.postings, index.stats
+        arrays = (postings.doc_starts, postings.offsets, postings.positions)
+        assert all(type(a) is np.ndarray and a.dtype == np.int32 for a in arrays)
+        assert postings.positions.shape == (stats.collection_len,)
+        assert postings.offsets.shape == (len(stats.df) + 1,)
+        assert postings.doc_starts.shape == (stats.num_docs + 1,)
+        vocabulary_and_documents = 4 * (len(stats.df) + stats.num_docs + 2)
+        assert sum(a.nbytes for a in arrays) <= 4 * stats.collection_len + vocabulary_and_documents
 
     def test_equal_token_texts_are_one_object(self):
-        index = self.index()
-        keys = {k: k for k in index.postings}
+        index = ingest_corpus(self.records())
+        keys = {k: k for k in index.postings.tokens}
+        assert list(keys) == list(index.stats.df)
         for doc in index.documents.values():
             assert all(tok is keys[tok] for tok in doc.tokens)
 
-    def test_equal_positions_are_one_object(self):
-        index = self.index()
-        first = {}
-        for docs in index.postings.values():
-            for positions in docs.values():
-                for p in positions:
-                    assert first.setdefault(p, p) is p
-        assert max(first) >= LONG  # beyond the small ints every interpreter shares
+    @pytest.mark.skipif(
+        platform.python_implementation() != "CPython", reason="counts CPython's GC-tracked objects"
+    )
+    def test_a_load_leaves_objects_per_document_not_per_token(self):
+        # Documents and mentions are tracked; token tuples, the vocabulary,
+        # the statistics and the postings arrays are not.
+        def tracked_by_a_load(repeat):
+            gc.collect()
+            before = len(gc.get_objects())
+            index = ingest_corpus(self.records(repeat))
+            gc.collect()
+            return len(gc.get_objects()) - before, index
+
+        small, index = tracked_by_a_load(1)
+        large, larger = tracked_by_a_load(10)
+        assert larger.stats.collection_len == 10 * index.stats.collection_len
+        assert large == small
+        mentions = sum(len(doc.mentions) for doc in index.documents.values())
+        assert small <= 3 * len(index.documents) + mentions + 10
 
     @pytest.mark.skipif(
-        platform.python_implementation() != "CPython", reason="CPython's cyclic GC untracks tuples"
+        platform.python_implementation() != "CPython", reason="relies on reference counting"
     )
-    def test_no_posting_is_tracked_after_a_collection(self):
-        index = self.index()
-        gc.collect()
-        for docs in index.postings.values():
-            assert not any(map(gc.is_tracked, docs.values()))
+    def test_a_read_index_is_freed_without_a_collection(self):
+        index = ingest_corpus(self.records())
+        query = Query("q", [QueryTerm("a"), QueryTerm("ab city")])
+        support = find_candidates(index, query, RetrievalConfig(window=5)).support
+        assert support
+        for contexts in support.values():
+            balog2_score(index, query, contexts)
+            petkova_score(index, query, contexts)
+        assert index.term_postings(("a",)) is index.term_postings(("a",))
+        freed = weakref.ref(index)
+        gc.disable()
+        try:
+            del index, support, contexts
+            assert freed() is None
+        finally:
+            gc.enable()
