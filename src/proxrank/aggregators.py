@@ -364,7 +364,9 @@ def balog2_score(
     Each context is scored as a document: prod_t Pr(t | context)^n(t, q)
     with Jelinek-Mercer smoothing (1 - lam) * tf/len + lam * cf/collection.
     Boolean entity-context association, so context scores just add up.
-    A window's term counts are read from the postings by bisection.
+    A window's term counts are found by bisection in the starts that the
+    context carries (:attr:`Context.starts`), or that are read from the
+    postings for a context that carries none.
     """
     if not contexts:
         raise AggregationError("balog2 needs a non-empty support set")
@@ -373,19 +375,20 @@ def balog2_score(
     stats = index.stats
     counts_q = _unigram_multiplicity(query)
     clen = max(stats.collection_len, 1)
-    # Each term's multiplicity, starts lookup and smoothing mass.
-    terms = [
-        (n, index.term_postings((term,)), smoothing * stats.cf.get(term, 0) / clen)
-        for term, n in counts_q.items()
-    ]
+    # Each term's multiplicity and smoothing mass.
+    terms = [(term, n, smoothing * stats.cf.get(term, 0) / clen) for term, n in counts_q.items()]
     scores = []
     for ctx in contexts:
         # The window's token positions, clipped to the document as a slice is.
         span = range(len(index.documents[ctx.doc_id].tokens))[slice(*ctx.window)]
         length = max(len(span), 1)
         log_prob = 0.0
-        for n, starts, background in terms:
-            post = starts[ctx.doc_id]
+        for term, n, background in terms:
+            read = ctx.starts.get(term)
+            if read is None:  # a hand-built context: read the postings
+                post = index.postings.term(term).starts(ctx.doc_id)
+            else:
+                post = read.get(ctx.doc_id, ())
             tf = bisect_left(post, span.stop) - bisect_left(post, span.start) if span else 0
             p = (1.0 - smoothing) * tf / length + background
             if p <= 0.0:
@@ -477,7 +480,7 @@ def petkova_score(
     the full document), smooths it against the collection, averages the
     per-context models into one entity model, and takes the query
     likelihood under that single model (product over terms outside the
-    sum over contexts).  Term positions come from the postings.
+    sum over contexts).  Term positions are read as in :func:`balog2_score`.
     """
     if not contexts:
         raise AggregationError("petkova needs a non-empty support set")
@@ -489,11 +492,16 @@ def petkova_score(
     counts_q = _unigram_multiplicity(query)
     terms = sorted(counts_q)
     clen = max(stats.collection_len, 1)
-    starts = [index.term_postings((t,)) for t in terms]
     background = [smoothing * stats.cf.get(t, 0) / clen for t in terms]
     per_term = [[] for _ in terms]
     for ctx in contexts:
-        where = {t: s[ctx.doc_id] for t, s in zip(terms, starts)}
+        where = {}
+        for t in terms:
+            read = ctx.starts.get(t)
+            if read is None:  # a hand-built context: read the postings
+                where[t] = index.postings.term(t).starts(ctx.doc_id)
+            else:
+                where[t] = read.get(ctx.doc_id, ())
         length = len(index.documents[ctx.doc_id].tokens)
         positional = _positional_masses(length, ctx.mention_offset, kernel_width, where)
         for t, mass, out in zip(terms, background, per_term):

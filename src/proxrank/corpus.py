@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -292,6 +292,10 @@ class Context:
     minimum over in-window occurrences of the token gap between the
     occurrence and the nearest mention-span edge (floored at 1).
     ``window`` is the half-open token range the context covers.
+    ``starts`` maps each query token to its starts in each document that
+    :func:`find_candidates` read, by doc id, so that scoring the context
+    (the language-model baselines) need not read the postings again.
+    The contexts of one retrieval share it; it takes no part in equality.
     """
 
     doc_id: str
@@ -299,6 +303,9 @@ class Context:
     mention_offset: int
     window: tuple[int, int]
     matches: dict[str, int]
+    starts: Mapping[str, Mapping[str, Sequence[int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -319,11 +326,6 @@ class RetrievalConfig:
             raise CorpusError(f"window radius must be >= 1, got {self.window}")
         if self.granularity not in (PER_MENTION, BEST_PER_DOCUMENT):
             raise CorpusError(f"unknown granularity {self.granularity!r}")
-
-
-# Tokens whose postings an index keeps (CorpusIndex.term_postings), the
-# least recently read dropped first; a request reads a few query terms.
-TERM_CACHE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,63 +364,57 @@ class Postings:
         return TermPostings(self, self.positions[self.offsets[t] : self.offsets[t + 1]])
 
 
-class TermPostings(dict):
-    """One term's occurrences: ``stream`` holds its start offsets in the
-    corpus stream, ascending.
+def _among(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """A mask of the ``values`` that occur in ``keys`` (ascending)."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(keys, values)
+    np.minimum(at, len(keys) - 1, out=at)
+    return keys[at] == values
 
-    As a mapping, it takes a doc id to the term's starts in that document,
-    counted from the document's first token, ascending (none for an
-    unknown doc id).  A document's starts are computed on its first read
-    and kept, so ``get``, ``in``, ``len`` and iteration see only the
-    documents read so far; :meth:`grouped` gives every document's.
-    :meth:`fill` reads many documents in one pass over ``stream``.
+
+class TermPostings:
+    """One term's occurrences: ``stream`` holds its start offsets in the
+    corpus stream, ascending.  A document's starts are counted from its
+    first token, ascending; every reader groups them with :meth:`starts_in`.
     """
 
-    __slots__ = ("postings", "stream")
-
-    def __init__(
-        self,
-        postings: Postings,
-        stream: np.ndarray,
-        found: Mapping[str, Sequence[int]] | None = None,
-    ) -> None:
-        super().__init__(found or {})
+    def __init__(self, postings: Postings, stream: np.ndarray) -> None:
         self.postings = postings
         self.stream = stream
 
-    def __missing__(self, doc_id: str) -> Sequence[int]:
-        k = self.postings.numbers.get(doc_id)
-        if k is None:
-            return ()
-        lo, hi = self.postings.bounds[k : k + 2]
-        a, b = np.searchsorted(self.stream, (lo, hi)).tolist()
-        found = self[doc_id] = tuple(p - lo for p in self.stream[a:b].tolist())
-        return found
-
+    @cached_property
     def documents(self) -> np.ndarray:
-        """The document number of each start."""
+        """The document number of each start, ascending."""
         return np.searchsorted(self.postings.doc_starts[1:], self.stream, side="right")
 
-    def fill(self, names: Sequence[str], keep: np.ndarray, documents: np.ndarray) -> None:
-        """Read the documents with doc ids ``names`` in one pass.
+    def starts_in(self, numbers: np.ndarray | None = None) -> dict[int, list[int]]:
+        """The term's starts in each document that holds it, by document
+        number, ascending: in the documents numbered ``numbers`` (an
+        ascending array), or in every document when None.
 
-        ``keep`` marks them in a mask over all document numbers, and
-        ``documents`` is :meth:`documents`.
+        A few array operations pick the documents' starts out of
+        ``stream``, so the Python work grows with the starts returned.
         """
-        doc_ids, bounds = self.postings.doc_ids, self.postings.bounds
-        found = dict.fromkeys(names, ())
-        held = keep[documents]
-        for k, p in zip(documents[held].tolist(), self.stream[held].tolist()):
-            found[doc_ids[k]] += (p - bounds[k],)
-        self.update(found)
+        documents, stream = self.documents, self.stream
+        if numbers is not None:
+            held = _among(documents, numbers)
+            documents, stream = documents[held], stream[held]
+        bounds = self.postings.bounds
+        found: dict[int, list[int]] = {}
+        for k, p in zip(documents.tolist(), stream.tolist()):
+            found.setdefault(k, []).append(p - bounds[k])
+        return found
+
+    def starts(self, doc_id: str) -> list[int]:
+        """The term's starts in one document (none for an unknown doc id)."""
+        k = self.postings.numbers.get(doc_id)
+        return [] if k is None else self.starts_in(np.array([k])).get(k, [])
 
     def grouped(self) -> dict[str, list[int]]:
         """The starts of every document holding the term, in ingest order."""
-        doc_ids, bounds = self.postings.doc_ids, self.postings.bounds
-        found: dict[str, list[int]] = {}
-        for k, p in zip(self.documents().tolist(), self.stream.tolist()):
-            found.setdefault(doc_ids[k], []).append(p - bounds[k])
-        return found
+        doc_ids = self.postings.doc_ids
+        return {doc_ids[k]: found for k, found in self.starts_in().items()}
 
 
 class CorpusIndex:
@@ -436,11 +432,10 @@ class CorpusIndex:
     and mention tuples) and runs 11 times during the load, in 8 ms,
     against 524 times in 120 ms with those 215k tuples.
 
-    Immutable after construction apart from four caches, each filled on
-    first use: phrase statistics (:meth:`phrase_df`), never changed after;
-    the postings of the :data:`TERM_CACHE` tokens read most recently, with
-    the per-document starts read from them; and two per-document caches,
-    rebuilt only for a document whose tokens or mentions were replaced:
+    Immutable after construction apart from three caches, each filled on
+    first use: phrase statistics (:meth:`phrase_df`), never changed after,
+    and two per-document caches, rebuilt only for a document whose tokens
+    or mentions were replaced:
     term state (:meth:`CorpusStats.term_state`, built on a document's
     first whole-document scoring, not at ingest) and mention geometry
     (:meth:`mention_geometry`, built on a document's first retrieval).
@@ -490,42 +485,35 @@ class CorpusIndex:
 
     # -- occurrence lookup ---------------------------------------------
 
-    @cached_property
-    def _token_postings(self):
-        # Holds the postings, not the index, so dropping an index frees it
-        # without a collection.
-        return lru_cache(maxsize=TERM_CACHE)(self.postings.term)
-
     def term_postings(self, term_tokens: Sequence[str]) -> TermPostings:
         """The occurrences of a term (or phrase).
 
-        A token's postings are kept (see :data:`TERM_CACHE`), so that
-        retrieval and the baselines of one request share their starts.  A
-        phrase is checked once at each posting of its first token, on
-        every call, and its document frequency is cached on the way.
+        A token's are a slice of the postings.  A phrase is checked once
+        at each posting of its first token, on every call, and its
+        document frequency is cached on the way.
         """
         if len(term_tokens) == 1:
-            return self._token_postings(term_tokens[0])
+            return self.postings.term(term_tokens[0])
         key = tuple(term_tokens)
         if not key:
             return TermPostings(self.postings, self.postings.positions[:0])
-        found: dict[str, list[int]] = {}
-        for doc_id, candidates in self._token_postings(key[0]).grouped().items():
-            starts = phrase_starts(self.documents[doc_id].tokens, key, candidates)
-            if starts:
-                found[doc_id] = starts
-        self.stats.phrase_df.setdefault(key, len(found))
-        bounds, numbers = self.postings.bounds, self.postings.numbers
-        stream = [bounds[numbers[doc_id]] + p for doc_id, starts in found.items() for p in starts]
-        return TermPostings(self.postings, np.array(stream, dtype=np.int32), found)
+        documents, bounds = self._numbered, self.postings.bounds
+        stream: list[int] = []
+        holding = 0
+        for k, candidates in self.postings.term(key[0]).starts_in().items():
+            starts = phrase_starts(documents[k].tokens, key, candidates)
+            holding += bool(starts)
+            stream += [bounds[k] + p for p in starts]
+        self.stats.phrase_df.setdefault(key, holding)
+        return TermPostings(self.postings, np.array(stream, dtype=np.int32))
 
     def occurrences(self, doc_id: str, term_tokens: Sequence[str]) -> list[int]:
         """Start positions of the term (or phrase) in the document."""
         if not term_tokens:
             return []
-        first = self.term_postings(term_tokens[:1])[doc_id]
+        first = self.postings.term(term_tokens[0]).starts(doc_id)
         if len(term_tokens) == 1:  # a token's postings are its starts
-            return list(first)
+            return first
         return phrase_starts(self.documents[doc_id].tokens, term_tokens, first)
 
     def term_starts(self, term_tokens: Sequence[str]) -> Mapping[str, Sequence[int]]:
@@ -747,6 +735,7 @@ def _context_from_occurrences(
     mention: Mention,
     occurrences: Mapping[str, tuple[int, Sequence[int]]],
     window: int,
+    starts: Mapping[str, Mapping[str, Sequence[int]]] | None = None,
 ) -> Context | None:
     # Distances are token gaps between an occurrence [p, p + length) and
     # the mention [start, end), edge to edge, with overlap floored at 1.
@@ -773,6 +762,7 @@ def _context_from_occurrences(
         mention_offset=offset,
         window=(lo, hi),
         matches=matches,
+        starts={} if starts is None else starts,
     )
 
 
@@ -813,14 +803,15 @@ def find_candidates(
     processing order.
 
     Reads come from the postings arrays, not from document scans: each
-    term's starts are placed in their documents by one search (a phrase
-    is checked token by token once per posting of its first token, see
+    term's documents are found by one search (a phrase is checked token
+    by token once per posting of its first token, see
     :meth:`CorpusIndex.term_postings`), documents without mentions are
     dropped before any per-document work, and the starts in the others
-    are read in one pass per term and kept for the baselines of the same
-    request.  Only the mentions some occurrence can reach are visited
-    (found in the document's :class:`MentionGeometry`, built once per
-    document), and each term's nearest occurrence is found by bisection.
+    are read with one :meth:`TermPostings.starts_in` per query token and
+    phrase.  Every context carries that read (:attr:`Context.starts`).
+    Only the mentions some occurrence can reach are visited (found in
+    the document's :class:`MentionGeometry`, built once per document),
+    and each term's nearest occurrence is found by bisection.
     """
     config = config or RetrievalConfig()
     terms = query.distinct_terms()
@@ -828,37 +819,47 @@ def find_candidates(
     # One phrase check per posting of its first token; this also caches
     # the phrase statistics that IDF reads.
     postings = [index.term_postings(t.tokens) for t in terms]
-    held = [p.documents() for p in postings]
-    doc_ids = index.postings.doc_ids
-    hit = np.zeros(len(doc_ids), dtype=bool)
-    for docs in held:
-        hit[docs] = True
-    for t, docs in zip(terms, held):
-        if t.required:
-            hit &= np.isin(np.arange(len(doc_ids)), docs)
+    # The documents that hold every required term, or some term when none
+    # is required, ascending.
+    required = [p.documents for t, p in zip(terms, postings) if t.required]
+    hit = np.concatenate(required[:1] or [p.documents for p in postings])
+    hit.sort()
+    fresh = np.ones(len(hit), dtype=bool)
+    np.not_equal(hit[1:], hit[:-1], out=fresh[1:])
+    hit = hit[fresh]
+    for holding in required[1:]:
+        hit = hit[_among(hit, holding)]
     # A document without mentions holds no context, so only the others'
     # starts are read.  Mentions may be replaced after ingest, so this
     # reads each candidate's own.
     documents = index._numbered
-    mentioned = [k for k in np.flatnonzero(hit).tolist() if documents[k].mentions]
-    names = [doc_ids[k] for k in mentioned]
-    keep = np.zeros(len(doc_ids), dtype=bool)
-    keep[mentioned] = True
-    for p, docs in zip(postings, held):
-        p.fill(names, keep, docs)
+    mentioned = [k for k in hit.tolist() if documents[k].mentions]
+    numbers = np.array(mentioned, dtype=np.intp)
+    found = [p.starts_in(numbers) for p in postings]
+    lengths = [len(t.tokens) for t in terms]
+    texts = [t.text for t in terms]
+    # Each query token's starts by doc id, handed over with the contexts;
+    # a token that is no term of its own (a phrase's) is read here.
+    by_token = {text: f for text, n, f in zip(texts, lengths, found) if n == 1}
+    for t in terms:
+        for tok in t.tokens:
+            if tok not in by_token:
+                by_token[tok] = index.postings.term(tok).starts_in(numbers)
+    doc_ids = index.postings.doc_ids
+    read = {tok: {doc_ids[k]: s for k, s in f.items()} for tok, f in by_token.items()}
 
     check_type = bool(query.target_type) and bool(index.entity_types)
     support: dict[str, list[Context]] = defaultdict(list)
-    for k, doc_id in zip(mentioned, names):
+    for k in mentioned:
         doc = documents[k]
-        occurrences = {t.text: (len(t.tokens), p[doc_id]) for t, p in zip(terms, postings)}
+        occurrences = {text: (n, f.get(k, ())) for text, n, f in zip(texts, lengths, found)}
         here: list[Context] = []
         for mention in index.mention_geometry(doc).reachable(occurrences.values(), config.window):
             if check_type and query.target_type not in index.entity_types.get(
                 mention.entity_id, frozenset()
             ):
                 continue
-            ctx = _context_from_occurrences(doc, mention, occurrences, config.window)
+            ctx = _context_from_occurrences(doc, mention, occurrences, config.window, read)
             if ctx is not None:
                 here.append(ctx)
         if config.granularity == BEST_PER_DOCUMENT:

@@ -299,6 +299,34 @@ class TestBaselineRankers:
             entities += self.rankings_match(index, query, support)
         assert entities > 50
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_retrieved_contexts_are_scored_without_reading_the_postings(self, seed, monkeypatch):
+        # Retrieval hands its read of every query token (a phrase's too)
+        # to the contexts, so the language-model baselines score them in
+        # any order, here after every query is retrieved, without a read.
+        rng = np.random.default_rng(300 + seed)
+        retrieved = []
+        for _ in range(30):
+            _, index = random_corpus(rng)
+            query = random_query(rng)
+            config = RetrievalConfig(window=int(rng.integers(1, 16)))
+            retrieved.append((index, query, find_candidates(index, query, config).support))
+
+        def no_read(*args):
+            raise AssertionError("the postings were read again")
+
+        monkeypatch.setattr(corpus.Postings, "term", no_read)
+        monkeypatch.setattr(corpus.CorpusIndex, "term_postings", no_read)
+        entities = 0
+        for index, query, support in retrieved:
+            for eid, contexts in support.items():
+                got = balog2_score(index, query, contexts)
+                assert got.hex() == oracles.balog2_scan(index, query, contexts).hex(), eid
+                got = petkova_score(index, query, contexts)
+                assert got.hex() == oracles.petkova_scan(index, query, contexts).hex(), eid
+                entities += 1
+        assert entities > 20
+
     def test_query_without_candidates(self):
         index = documents_to_index([Document("d", ("a", "b"), (Mention("e", 0, 1),))])
         qc = QueryCandidates("q", Query("q", [QueryTerm("zz")]), {})
