@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from proxrank.corpus import Context, CorpusIndex, Query
 from proxrank.features import Bm25Params, bm25_score
@@ -223,6 +222,14 @@ def segment_deciles(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def sigmoid(a):
+    """scipy's ``expit``, imported on the first call: only gradients need
+    it, so ranking and the baselines run without loading scipy."""
+    from scipy.special import expit
+
+    return expit(a)
+
+
 def _sorted_sums(terms: np.ndarray, offsets: np.ndarray, segments: np.ndarray) -> np.ndarray:
     return np.add.reduceat(terms[np.lexsort((terms, segments))], offsets[:-1])
 
@@ -253,7 +260,7 @@ def segment_aggregate(
         product = np.exp(seg_log)
 
         def build(entity_coef: np.ndarray) -> np.ndarray:
-            return expit(s) * (entity_coef * product)[segments]
+            return sigmoid(s) * (entity_coef * product)[segments]
 
         return V, build
     if spec.operator == "softcutoff":

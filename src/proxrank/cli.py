@@ -218,16 +218,28 @@ def _add_retrieval_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+# Flags that some system does not read, with their defaults.
+_FEATURE_DEFAULTS = {"families": "noprox,rectangle,pad", "distance_boundaries": None, "idf_boundaries": None}
+_BM25_DEFAULTS = {"k1": 1.2, "b": 0.75}
+_LM_DEFAULTS = {"lm_lambda": 0.5, "kernel_width": 25.0}
+
+
 def _add_feature_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--families",
-        default="noprox,rectangle,pad",
         help="comma list of feature families (noprox, idfupto, grid, rectangle, pad)",
     )
-    p.add_argument("--distance-boundaries", default=None, help="comma list of window splits")
-    p.add_argument("--idf-boundaries", default=None, help="comma list of IDF-fraction splits")
-    p.add_argument("--k1", type=float, default=1.2, help="BM25 k1")
-    p.add_argument("--b", type=float, default=0.75, help="BM25 b")
+    p.add_argument("--distance-boundaries", help="comma list of window splits")
+    p.add_argument("--idf-boundaries", help="comma list of IDF-fraction splits")
+    p.add_argument("--k1", type=float, help="BM25 k1")
+    p.add_argument("--b", type=float, help="BM25 b")
+    p.set_defaults(**_FEATURE_DEFAULTS, **_BM25_DEFAULTS)
+
+
+def _add_lm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lm-lambda", type=float, help="language-model smoothing")
+    p.add_argument("--kernel-width", type=float, help="positional kernel width")
+    p.set_defaults(**_LM_DEFAULTS)
 
 
 # The training flags and their defaults; a baseline system takes none of them.
@@ -265,13 +277,32 @@ def _add_train_args(p: argparse.ArgumentParser, systems: tuple[str, ...] = TRAIN
     p.set_defaults(**_TRAIN_DEFAULTS)
 
 
-def _refuse_training_flags(args: argparse.Namespace) -> None:
-    """A baseline system is not trained: refuse any training flag set away
-    from its default, rather than record it in the manifest unused."""
-    given = [name for name, default in _TRAIN_DEFAULTS.items() if getattr(args, name) != default]
+_FLAG_DEFAULTS = {**_TRAIN_DEFAULTS, **_FEATURE_DEFAULTS, **_BM25_DEFAULTS, **_LM_DEFAULTS}
+_BASELINE_UNREAD = (*_TRAIN_DEFAULTS, *_FEATURE_DEFAULTS, *_BM25_DEFAULTS)
+
+# The flags each system does not read.  macdonald has no feature layout,
+# so no grid-shaped weights to smooth; count scores one constant feature.
+_UNREAD_FLAGS = {
+    "features": tuple(_LM_DEFAULTS),
+    "macdonald": ("smooth", *_FEATURE_DEFAULTS, *_LM_DEFAULTS),
+    "count": (*_BASELINE_UNREAD, *_LM_DEFAULTS),
+    "balog2": (*_BASELINE_UNREAD, "kernel_width"),
+    "petkova": _BASELINE_UNREAD,
+}
+
+
+def _refuse_unread_flags(args: argparse.Namespace) -> None:
+    """Refuse any flag that ``--system`` does not read, set away from its
+    default, rather than record it in the manifest unused."""
+    given = [
+        name for name in _UNREAD_FLAGS[args.system]
+        if getattr(args, name, _FLAG_DEFAULTS[name]) != _FLAG_DEFAULTS[name]
+    ]
     if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        raise TrainingError(f"--system {args.system} is not trained; it takes no {flags}")
+        untrained = args.system in BASELINE_SYSTEMS and not set(given).isdisjoint(_TRAIN_DEFAULTS)
+        reason = " is not trained; it" if untrained else ""
+        raise TrainingError(f"--system {args.system}{reason} takes no {flags}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", default=None, help="model.json from train")
     source.add_argument("--baseline", choices=BASELINE_SYSTEMS, default=None)
-    p.add_argument("--lm-lambda", type=float, default=0.5, help="language-model smoothing")
-    p.add_argument("--kernel-width", type=float, default=25.0, help="positional kernel width")
+    _add_lm_args(p)
     p.add_argument("--tag", default="proxrank", help="run tag written to the run file")
     _add_retrieval_args(p)
     p.add_argument("--k1", type=float, default=1.2)
@@ -352,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("loocv", "kfold"), default="loocv")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--name", default=None, help="system name in the report (defaults to system)")
-    p.add_argument("--lm-lambda", type=float, default=0.5)
-    p.add_argument("--kernel-width", type=float, default=25.0)
+    _add_lm_args(p)
     _add_retrieval_args(p)
     _add_feature_args(p)
     _add_train_args(p, systems=TRAINED_SYSTEMS + BASELINE_SYSTEMS)
@@ -463,6 +492,7 @@ def _prepare_system(
     judgments: Judgments,
 ) -> tuple[list[PreparedQuery], FeatureLayout | None, AggregatorSpec]:
     stage["name"] = "featurize"
+    _refuse_unread_flags(args)
     if args.system == "macdonald" and args.aggregator != "sum":
         raise TrainingError(
             f"--system macdonald fits the sum aggregator only, got --aggregator {args.aggregator}"
@@ -602,7 +632,7 @@ def cmd_xval(args: argparse.Namespace, stage: dict) -> list[str]:
     name = args.name or args.system
     stage["name"] = "featurize"
     if args.system in BASELINE_SYSTEMS:
-        _refuse_training_flags(args)
+        _refuse_unread_flags(args)
         retrieval, bm25 = _retrieval_settings(args)
         items: Sequence = collect_candidates(index, queries, retrieval)
         ranker = baseline_ranker(args.system, index, bm25, args.lm_lambda, args.kernel_width)

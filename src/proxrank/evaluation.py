@@ -5,6 +5,10 @@ macro-averaged.  Judged-good entities that the system never retrieved
 count as misses (zero contribution to AP/RR/NDCG; a lost comparison in
 the pair-swap rate), so systems cannot improve a score by dropping hard
 entities from their candidate pool.
+
+Only :func:`paired_ttest` needs scipy (Student's t tail); it imports
+``scipy.stats`` on its first call, so ranking and metrics run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 from proxrank.corpus import Judgments
 from proxrank.seeding import substream
@@ -235,6 +238,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
         return 0.0 if mean == 0.0 else math.copysign(math.inf, mean), (
             1.0 if mean == 0.0 else 0.0
         )
+    from scipy.stats import t as t_dist
+
     t_stat = mean / (sd / math.sqrt(diffs.size))
     p = 2.0 * float(t_dist.sf(abs(t_stat), diffs.size - 1))
     return t_stat, p

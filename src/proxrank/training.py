@@ -20,6 +20,11 @@ same stacked set by linear programming, solved as its 10-row dual.
 Grid-shaped weight blocks (grid, rectangle) are regularized by neighbor
 smoothness instead of the plain ridge, since their discretization is
 arbitrary; all other weights get the ridge.
+
+scipy is imported inside the functions that call it (``minimize`` in
+:func:`train_model`, ``linprog`` in :func:`train_soft_cutoff`), so
+importing this module, preparing queries and scoring with a model need
+numpy alone; a process pays the optimizer's import on its first fit.
 """
 
 from __future__ import annotations
@@ -28,12 +33,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
-from scipy.special import expit
 
 from proxrank.aggregators import (
     NUM_DECILES,
@@ -43,6 +46,7 @@ from proxrank.aggregators import (
     macdonald_features,
     segment_aggregate,
     segment_deciles,
+    sigmoid,
 )
 from proxrank.corpus import (
     Context,
@@ -279,7 +283,7 @@ def soft_hinge(a):
     """Smooth hinge softplus(a) = log(1 + e^a) and its derivative sigmoid(a)."""
     arr = np.asarray(a, dtype=float)
     value = np.logaddexp(0.0, arr)
-    deriv = expit(arr)
+    deriv = sigmoid(arr)
     if np.ndim(a) == 0:
         return float(value), float(deriv)
     return value, deriv
@@ -362,38 +366,89 @@ def _as_training_set(
     return TrainingSet.from_prepared(prepared, config)
 
 
+@dataclass(frozen=True)
+class _Penalty:
+    """Where the regularizer reads a layout's weights.  ``lower[p]`` and
+    ``upper[p]`` are the cells of neighbor pair p, each grid-shaped
+    block's vertical pairs then its horizontal ones; ``blocks`` holds each
+    block's pair bounds (start, split, stop).  Contribution k adds
+    ``sign[k]`` times pair ``pair[k]``'s difference to block cell
+    ``cell[k]``, in the order the per-block updates would; ``cells`` maps
+    block cell numbers to weight indices."""
+
+    ridge: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    blocks: tuple[tuple[int, int, int], ...]
+    pair: np.ndarray
+    sign: np.ndarray
+    cell: np.ndarray
+    cells: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _penalty(dimension: int, layout: FeatureLayout | None) -> _Penalty:
+    """The :class:`_Penalty` of a layout: built once, not per evaluation."""
+    ridge_mask = np.ones(dimension, dtype=bool)
+    lower, upper, blocks, pair, sign, cell, cells = [], [], [], [], [], [], []
+    for family in ("grid", "rectangle") if layout is not None else ():
+        if not layout.has(family):
+            continue
+        rows, cols = layout.grid_shape
+        start = layout.family_offset(family)
+        ridge_mask[start : start + rows * cols] = False
+        grid = np.arange(rows * cols).reshape(rows, cols)
+        first, base = len(lower), len(cells)
+        for hi, lo in ((grid[1:, :], grid[:-1, :]), (grid[:, 1:], grid[:, :-1])):
+            hi, lo = hi.ravel(), lo.ravel()
+            pairs = np.arange(hi.size) + len(lower)
+            lower.extend(start + lo)
+            upper.extend(start + hi)
+            # gg[hi] += d, then gg[lo] -= d
+            pair.extend([*pairs, *pairs])
+            sign.extend([1.0] * hi.size + [-1.0] * hi.size)
+            cell.extend([*(base + hi), *(base + lo)])
+        blocks.append((first, first + (rows - 1) * cols, len(lower)))
+        cells.extend(range(start, start + rows * cols))
+    arrays = [np.flatnonzero(ridge_mask)] + [
+        np.array(a, dtype=t) for a, t in
+        ((lower, int), (upper, int), (pair, int), (sign, float), (cell, int), (cells, int))
+    ]
+    for a in arrays:
+        a.setflags(write=False)
+    ridge, lower, upper, pair, sign, cell, cells = arrays
+    return _Penalty(ridge, lower, upper, tuple(blocks), pair, sign, cell, cells)
+
+
 def regularization(
     weights: np.ndarray, layout: FeatureLayout | None, config: TrainConfig
 ) -> tuple[float, np.ndarray]:
-    """Ridge on plain features, neighbor smoothness on grid-shaped blocks."""
+    """Ridge on plain features, neighbor smoothness on grid-shaped blocks.
+
+    The layout's index arrays are cached, and the smoothness terms of all
+    blocks come from one gather and one bincount, with the bits of one
+    block at a time: each sum covers one block's vertical or horizontal
+    squares, and each cell's gradient adds its neighbor differences in
+    the order of the per-block loop.
+    """
     w = np.asarray(weights, dtype=float)
     grad = np.zeros_like(w)
     lam2 = config.ridge_width**2
-    smooth_ranges: list[tuple[int, int, int, int]] = []
-    if layout is not None:
-        rows, cols = layout.grid_shape
-        for family in ("grid", "rectangle"):
-            if layout.has(family):
-                start = layout.family_offset(family)
-                smooth_ranges.append((start, start + rows * cols, rows, cols))
-    ridge_mask = np.ones(w.shape[0], dtype=bool)
-    for start, stop, _, _ in smooth_ranges:
-        ridge_mask[start:stop] = False
+    penalty = _penalty(w.shape[0], layout)
 
-    value = float(np.sum(w[ridge_mask] ** 2)) / (2.0 * lam2)
-    grad[ridge_mask] += w[ridge_mask] / lam2
+    ridge = w[penalty.ridge]
+    value = float((ridge**2).sum()) / (2.0 * lam2)
+    grad[penalty.ridge] += ridge / lam2
+    if not penalty.blocks:
+        return value, grad
 
-    for start, stop, rows, cols in smooth_ranges:
-        block = w[start:stop].reshape(rows, cols)
-        dv = block[1:, :] - block[:-1, :]
-        dh = block[:, 1:] - block[:, :-1]
-        value += config.smooth_weight * (float(np.sum(dv**2)) + float(np.sum(dh**2))) / (2.0 * lam2)
-        gg = np.zeros_like(block)
-        gg[1:, :] += dv
-        gg[:-1, :] -= dv
-        gg[:, 1:] += dh
-        gg[:, :-1] -= dh
-        grad[start:stop] += (config.smooth_weight / lam2) * gg.ravel()
+    diff = w[penalty.upper] - w[penalty.lower]
+    squares = diff**2
+    for start, split, stop in penalty.blocks:
+        smooth = float(squares[start:split].sum()) + float(squares[split:stop].sum())
+        value += config.smooth_weight * smooth / (2.0 * lam2)
+    gg = np.bincount(penalty.cell, diff[penalty.pair] * penalty.sign, penalty.cells.shape[0])
+    grad[penalty.cells] += (config.smooth_weight / lam2) * gg
     return value, grad
 
 
@@ -552,6 +607,8 @@ def train_model(
         objective, gradient = fun(w0)
         weights, stop_reason = w0, "iteration cap is 0"
     else:
+        from scipy.optimize import minimize
+
         result = minimize(
             fun, w0, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * dimension,
             callback=count_iteration, options={"maxiter": config.max_iters, "ftol": config.tol},
@@ -710,6 +767,8 @@ def train_soft_cutoff(
     ts = TrainingSet.from_prepared(prepared, config)
     if not ts.pair_weight.size:
         raise TrainingError("no usable (good, bad) pairs for the cutoff program")
+    from scipy.optimize import linprog
+
     profiles = _decile_profiles(model, ts)
     cumulative = np.cumsum(profiles[ts.bad] - profiles[ts.good], axis=1)
     n_pairs = cumulative.shape[0]

@@ -377,6 +377,41 @@ def cutoff_decay_range(per_query, ridge: float, ceiling: float) -> tuple[np.ndar
 # -- training objective, query by query -------------------------------------------
 
 
+def regularization_per_block(weights, layout, config) -> tuple[float, np.ndarray]:
+    """Ridge on plain features and neighbor smoothness on grid-shaped
+    blocks, with the ridge mask and block ranges rebuilt on every call
+    and each block's differences taken on its 2-D reshape."""
+    w = np.asarray(weights, dtype=float)
+    grad = np.zeros_like(w)
+    lam2 = config.ridge_width**2
+    smooth_ranges = []
+    if layout is not None:
+        rows, cols = layout.grid_shape
+        for family in ("grid", "rectangle"):
+            if layout.has(family):
+                start = layout.family_offset(family)
+                smooth_ranges.append((start, start + rows * cols, rows, cols))
+    ridge_mask = np.ones(w.shape[0], dtype=bool)
+    for start, stop, _, _ in smooth_ranges:
+        ridge_mask[start:stop] = False
+
+    value = float(np.sum(w[ridge_mask] ** 2)) / (2.0 * lam2)
+    grad[ridge_mask] += w[ridge_mask] / lam2
+
+    for start, stop, rows, cols in smooth_ranges:
+        block = w[start:stop].reshape(rows, cols)
+        dv = block[1:, :] - block[:-1, :]
+        dh = block[:, 1:] - block[:, :-1]
+        value += config.smooth_weight * (float(np.sum(dv**2)) + float(np.sum(dh**2))) / (2.0 * lam2)
+        gg = np.zeros_like(block)
+        gg[1:, :] += dv
+        gg[:-1, :] -= dv
+        gg[:, 1:] += dh
+        gg[:, :-1] -= dh
+        grad[start:stop] += (config.smooth_weight / lam2) * gg.ravel()
+    return value, grad
+
+
 def objective_per_query(weights, prepared, spec, config, layout=None) -> tuple[float, np.ndarray]:
     """The pairwise training objective and its gradient, one query at a
     time: each query's pairs drawn by ``pair_sample``, scored through its

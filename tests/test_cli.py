@@ -444,6 +444,85 @@ class TestXvalCommand:
         assert code == 0
         assert manifest_of(out)["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "command, system, flags, message",
+        [
+            (
+                "xval", "balog2", ["--families", "nosuch", "--idf-boundaries", "0.5,nan", "--k1", "3"],
+                "--system balog2 takes no --families, --idf-boundaries, --k1",
+            ),
+            ("xval", "balog2", ["--kernel-width", "3"], "--system balog2 takes no --kernel-width"),
+            (
+                "xval", "petkova", ["--distance-boundaries", "1,2", "--b", "0.5"],
+                "--system petkova takes no --distance-boundaries, --b",
+            ),
+            (
+                "xval", "count", ["--kernel-width", "3", "--lm-lambda", "0.9", "--k1", "2"],
+                "--system count takes no --k1, --lm-lambda, --kernel-width",
+            ),
+            (
+                "xval", "count", ["--families", "pad", "--ridge", "3"],
+                "--system count is not trained; it takes no --ridge, --families",
+            ),
+            (
+                "xval", "macdonald",
+                ["--families", "noprox", "--distance-boundaries", "1,2", "--idf-boundaries", "0.5,1"],
+                "--system macdonald takes no --families, --distance-boundaries, --idf-boundaries",
+            ),
+            ("xval", "macdonald", ["--smooth", "2"], "--system macdonald takes no --smooth"),
+            ("train", "macdonald", ["--families", "pad"], "--system macdonald takes no --families"),
+            (
+                "xval", "features", ["--kernel-width", "3", "--lm-lambda", "0.9"],
+                "--system features takes no --lm-lambda, --kernel-width",
+            ),
+        ],
+    )
+    def test_system_refuses_flags_it_does_not_read(
+        self, synth_dir, tmp_path, capsys, command, system, flags, message
+    ):
+        # A flag the system never reads is refused, not recorded unused in
+        # an "ok" manifest.
+        out = str(tmp_path / "unread-flags")
+        code = main(
+            [
+                command, "--system", system, *flags,
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"proxrank {command}: featurize: {message}\n"
+        manifest = manifest_of(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == message
+        assert manifest["artifacts"] == []
+        assert os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "system, flags",
+        [
+            ("balog2", ["--lm-lambda", "0.7", "--families", "noprox,rectangle,pad", "--k1", "1.2"]),
+            ("petkova", ["--lm-lambda", "0.7", "--kernel-width", "10"]),
+            ("count", ["--lm-lambda", "0.5", "--b", "0.75"]),
+            ("macdonald", ["--k1", "1.5", "--b", "0.5", "--max-iters", "10"]),
+            ("features", ["--families", "noprox,grid", "--smooth", "2", "--max-iters", "10"]),
+        ],
+    )
+    def test_system_takes_flags_it_reads_and_defaults(self, synth_dir, tmp_path, system, flags):
+        out = str(tmp_path / "read-flags")
+        code = main(
+            [
+                "xval", "--system", system, *flags,
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+            ]
+        )
+        assert code == 0
+        assert manifest_of(out)["status"] == "ok"
 
     def test_loocv_artifacts_do_not_depend_on_the_hash_seed(self, tmp_path):
         # Each process draws its own string-hash seed, which orders set

@@ -1,5 +1,6 @@
 """Pairwise objective, L-BFGS-B fitting and its stop record, model files, cutoff LP."""
 
+import itertools
 import math
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import expit
 
 from proxrank.aggregators import NUM_DECILES, AggregatorSpec, aggregate_score, context_scores
-from proxrank.features import FeatureError, FeatureLayout
+from proxrank.features import FAMILY_ORDER, FeatureError, FeatureLayout
 import proxrank.training
 from proxrank.training import (
     CutoffModel,
@@ -290,6 +291,38 @@ class TestRegularization:
         value, grad = regularization(w, None, config)
         assert value == pytest.approx(2.5, rel=1e-12)
         assert np.allclose(grad, w)
+
+
+    @pytest.mark.parametrize(
+        "families",
+        [f for n in range(1, 6) for f in itertools.combinations(FAMILY_ORDER, n)],
+    )
+    def test_hex_equal_to_per_block_oracle(self, families):
+        rng = np.random.default_rng(len(families) * 31 + sum(map(len, families)))
+        for boundaries in (((2, 4, 8), (0.25, 0.5, 0.75, 1.0)), ((5,), (1.0,)), ((3, 9), (1.0,))):
+            layout = FeatureLayout(families, *boundaries)
+            for config, scale in (
+                (default_config(), 1.0),
+                (default_config(ridge_width=0.3, smooth_weight=2.5), 50.0),
+                (default_config(smooth_weight=0.0), 1.0),
+            ):
+                for w in (
+                    scale * rng.random(layout.dimension),
+                    scale * rng.standard_normal(layout.dimension),
+                    np.round(rng.random(layout.dimension), 1),
+                ):
+                    value, grad = regularization(w, layout, config)
+                    want_value, want_grad = oracles.regularization_per_block(w, layout, config)
+                    assert value.hex() == want_value.hex()
+                    assert [g.hex() for g in grad] == [g.hex() for g in want_grad]
+
+    def test_hex_equal_to_per_block_oracle_without_layout(self):
+        w = np.random.default_rng(3).standard_normal(7)
+        config = default_config(ridge_width=0.7)
+        value, grad = regularization(w, None, config)
+        want_value, want_grad = oracles.regularization_per_block(w, None, config)
+        assert value.hex() == want_value.hex()
+        assert [g.hex() for g in grad] == [g.hex() for g in want_grad]
 
 
 class TestTrainModel:
