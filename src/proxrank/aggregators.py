@@ -360,6 +360,15 @@ def _unigram_multiplicity(query: Query) -> dict[str, int]:
     return counts
 
 
+def _starts(index: CorpusIndex, ctx: Context, term: str) -> Sequence[int]:
+    # The term's starts in the context's document, from the read that came
+    # with the context, or from the postings for a hand-built context.
+    read = ctx.starts.get(term)
+    if read is None:
+        return index.postings.term(term).starts(ctx.doc_id)
+    return read.get(ctx.doc_id, ())
+
+
 def balog2_score(
     index: CorpusIndex,
     query: Query,
@@ -391,11 +400,7 @@ def balog2_score(
         length = max(len(span), 1)
         log_prob = 0.0
         for term, n, background in terms:
-            read = ctx.starts.get(term)
-            if read is None:  # a hand-built context: read the postings
-                post = index.postings.term(term).starts(ctx.doc_id)
-            else:
-                post = read.get(ctx.doc_id, ())
+            post = _starts(index, ctx, term)
             tf = bisect_left(post, span.stop) - bisect_left(post, span.start) if span else 0
             p = (1.0 - smoothing) * tf / length + background
             if p <= 0.0:
@@ -403,7 +408,20 @@ def balog2_score(
                 break
             log_prob += n * math.log(p)
         scores.append(math.exp(log_prob) if log_prob > -math.inf else 0.0)
-    return float(np.sum(np.sort(np.asarray(scores))))
+    return _sorted_total(scores)
+
+
+# np.sum adds fewer float64 values than this one by one, in order (a test
+# in tests/test_index_reads.py pins it); from here on it sums pairwise.
+_PAIRWISE_FROM = 8
+
+
+def _sorted_total(values: list[float]) -> float:
+    """``float(np.sum(np.sort(values)))``, bit for bit: below
+    ``_PAIRWISE_FROM`` values, Python's in-order sum of the sorted list."""
+    if len(values) < _PAIRWISE_FROM:
+        return float(sum(sorted(values)))
+    return float(np.sum(np.sort(np.asarray(values))))
 
 
 def _gaussian(offsets: np.ndarray, width: float) -> np.ndarray:
@@ -435,19 +453,28 @@ def _kernel(length: int, center: int, width: float) -> np.ndarray:
 
 
 def _positional_masses(
-    length: int, center: int, width: float, positions: Mapping[str, Sequence[int]]
-) -> dict[str, float]:
+    length: int, center: int, width: float, positions: Iterable[Sequence[int]]
+) -> list[float]:
     # Each term's kernel mass at its positions over the mass of every
     # position of the document.  The positions must ascend, so that a mass
     # has the same bits whether they come from the postings or from a pass
-    # over the tokens.
+    # over the tokens.  Fewer than _PAIRWISE_FROM positions are read one by
+    # one through a view of the shared kernel and added in order, as np.sum
+    # adds them.
     kernel = _kernel(length, center, width)
     denom = float(kernel.sum())
-    out: dict[str, float] = {}
-    for term, where in positions.items():
-        numer = float(kernel[np.asarray(where, dtype=np.intp)].sum()) if len(where) else 0.0
-        out[term] = numer / denom if denom > 0.0 else 0.0
-    return out
+    if not denom > 0.0:
+        return [0.0 for _ in positions]
+    values = memoryview(kernel)
+    return [
+        (
+            float(sum([values[p] for p in where]))
+            if len(where) < _PAIRWISE_FROM
+            else float(kernel[np.asarray(where, dtype=np.intp)].sum())
+        )
+        / denom
+        for where in positions
+    ]
 
 
 def positional_term_distribution(
@@ -471,7 +498,7 @@ def positional_term_distribution(
     for i, tok in enumerate(tokens):
         if tok in where:
             where[tok].append(i)
-    return _positional_masses(len(tokens), center, width, where)
+    return dict(zip(where, _positional_masses(len(tokens), center, width, where.values())))
 
 
 def petkova_score(
@@ -500,22 +527,17 @@ def petkova_score(
     terms = sorted(counts_q)
     clen = max(stats.collection_len, 1)
     background = [smoothing * stats.cf.get(t, 0) / clen for t in terms]
+    scale = 1.0 - smoothing
     per_term = [[] for _ in terms]
     for ctx in contexts:
-        where = {}
-        for t in terms:
-            read = ctx.starts.get(t)
-            if read is None:  # a hand-built context: read the postings
-                where[t] = index.postings.term(t).starts(ctx.doc_id)
-            else:
-                where[t] = read.get(ctx.doc_id, ())
+        where = [_starts(index, ctx, t) for t in terms]
         length = len(index.documents[ctx.doc_id].tokens)
-        positional = _positional_masses(length, ctx.mention_offset, kernel_width, where)
-        for t, mass, out in zip(terms, background, per_term):
-            out.append((1.0 - smoothing) * positional[t] + mass)
+        masses = _positional_masses(length, ctx.mention_offset, kernel_width, where)
+        for out, positional, mass in zip(per_term, masses, background):
+            out.append(scale * positional + mass)
     log_prob = 0.0
     for t, ps in zip(terms, per_term):
-        mean_p = float(np.sum(np.sort(np.asarray(ps)))) / len(contexts)
+        mean_p = _sorted_total(ps) / len(contexts)
         if mean_p <= 0.0:
             return 0.0
         log_prob += counts_q[t] * math.log(mean_p)

@@ -282,6 +282,7 @@ _BASELINE_UNREAD = (*_TRAIN_DEFAULTS, *_FEATURE_DEFAULTS, *_BM25_DEFAULTS)
 
 # The flags each system does not read.  macdonald has no feature layout,
 # so no grid-shaped weights to smooth; count scores one constant feature.
+# A features layout adds its own (see _unread_flags).
 _UNREAD_FLAGS = {
     "features": tuple(_LM_DEFAULTS),
     "macdonald": ("smooth", *_FEATURE_DEFAULTS, *_LM_DEFAULTS),
@@ -291,18 +292,31 @@ _UNREAD_FLAGS = {
 }
 
 
-def _refuse_unread_flags(args: argparse.Namespace) -> None:
-    """Refuse any flag that ``--system`` does not read, set away from its
-    default, rather than record it in the manifest unused."""
+def _unread_flags(args: argparse.Namespace, system: str) -> tuple[str, ...]:
+    """The flags ``system`` does not read.  A features layout smooths only
+    its grid and rectangle blocks, and only ``noprox`` reads BM25."""
+    if system != "features" or "families" not in args:  # rank --model has no layout flags
+        return _UNREAD_FLAGS[system]
+    families = set(_names(args.families))
+    layout_unread = ("smooth",) if families.isdisjoint(("grid", "rectangle")) else ()
+    if "noprox" not in families:
+        layout_unread += tuple(_BM25_DEFAULTS)
+    return (*layout_unread, *_UNREAD_FLAGS[system])
+
+
+def _refuse_unread_flags(args: argparse.Namespace, system: str, who: str) -> None:
+    """Refuse any flag that ``system`` does not read, set away from its
+    default, rather than record it in the manifest unused; ``who`` names
+    the ranker in the message.  A flag left at None was not given."""
     given = [
-        name for name in _UNREAD_FLAGS[args.system]
-        if getattr(args, name, _FLAG_DEFAULTS[name]) != _FLAG_DEFAULTS[name]
+        name for name in _unread_flags(args, system)
+        if getattr(args, name, None) not in (None, _FLAG_DEFAULTS[name])
     ]
     if given:
         flags = ", ".join("--" + name.replace("_", "-") for name in given)
-        untrained = args.system in BASELINE_SYSTEMS and not set(given).isdisjoint(_TRAIN_DEFAULTS)
+        untrained = system in BASELINE_SYSTEMS and not set(given).isdisjoint(_TRAIN_DEFAULTS)
         reason = " is not trained; it" if untrained else ""
-        raise TrainingError(f"--system {args.system}{reason} takes no {flags}")
+        raise TrainingError(f"{who}{reason} takes no {flags}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,6 +430,7 @@ def write_manifest(
     artifacts: Sequence[str],
     status: str,
     error: str | None = None,
+    warnings: Sequence[str] = (),
 ) -> None:
     manifest = {
         "tool": "proxrank",
@@ -427,6 +442,8 @@ def write_manifest(
     }
     if error is not None:
         manifest["error"] = error
+    if warnings:
+        manifest["warnings"] = list(warnings)
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -492,7 +509,7 @@ def _prepare_system(
     judgments: Judgments,
 ) -> tuple[list[PreparedQuery], FeatureLayout | None, AggregatorSpec]:
     stage["name"] = "featurize"
-    _refuse_unread_flags(args)
+    _refuse_unread_flags(args, args.system, f"--system {args.system}")
     if args.system == "macdonald" and args.aggregator != "sum":
         raise TrainingError(
             f"--system macdonald fits the sum aggregator only, got --aggregator {args.aggregator}"
@@ -592,6 +609,13 @@ def _retrieval_settings(
 
 def cmd_rank(args: argparse.Namespace, stage: dict) -> list[str]:
     index, queries, no_judgments = _load_inputs(args, stage)
+    stage["name"] = "featurize"
+    # A model supplies the retrieval and BM25 settings (a given flag must
+    # agree with it); of rank's flags, no trained system reads the LM ones.
+    if args.model is not None:
+        _refuse_unread_flags(args, "features", "--model")
+    else:
+        _refuse_unread_flags(args, args.baseline, f"--baseline {args.baseline}")
     stage["name"] = "rank"
     if args.model is not None:
         model = load_model(args.model)
@@ -632,7 +656,7 @@ def cmd_xval(args: argparse.Namespace, stage: dict) -> list[str]:
     name = args.name or args.system
     stage["name"] = "featurize"
     if args.system in BASELINE_SYSTEMS:
-        _refuse_unread_flags(args)
+        _refuse_unread_flags(args, args.system, f"--system {args.system}")
         retrieval, bm25 = _retrieval_settings(args)
         items: Sequence = collect_candidates(index, queries, retrieval)
         ranker = baseline_ranker(args.system, index, bm25, args.lm_lambda, args.kernel_width)
@@ -669,7 +693,13 @@ def cmd_compare(args: argparse.Namespace, stage: dict) -> list[str]:
     stage["name"] = "load-reports"
     reports = [read_report(p) for p in args.reports]
     stage["name"] = "write-artifacts"
-    write_comparison(reports, os.path.join(args.out, "comparison.tsv"))
+    untested = write_comparison(reports, os.path.join(args.out, "comparison.tsv"))
+    first = os.path.basename(args.reports[0])
+    stage["warnings"] = [
+        f"{os.path.basename(args.reports[k])} (system {reports[k].system}): {n} query ids "
+        f"differ from {first}; no t-test was run against it"
+        for k, n in sorted(untested.items())
+    ]
     return ["comparison.tsv"]
 
 
@@ -704,7 +734,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 1
-    write_manifest(args.out, args.command, config, [*artifacts, MANIFEST_NAME], "ok")
+    write_manifest(
+        args.out, args.command, config, [*artifacts, MANIFEST_NAME], "ok",
+        warnings=stage.get("warnings", ()),
+    )
     return 0
 
 

@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -220,22 +219,28 @@ class MentionGeometry:
     def reachable(
         self, occurrences: Iterable[tuple[int, Sequence[int]]], window: int
     ) -> list[Mention]:
-        """The mentions within ``window`` of some occurrence, in document order.
+        """Every mention within ``window`` of some occurrence (and perhaps a
+        few more), each once, in document order.
 
         An occurrence [p, p + length) lies within the window of mention
         [start, end) when start <= p + length - 1 + window and
         end >= p - window + 1.  No span is wider than ``reach``, so such a
         mention starts in [p - window + 1 - reach, p + length - 1 + window]:
-        a range of the sorted starts, marked on a difference array.
+        a range of the sorted starts.  The result is the union of those
+        ranges; a term's occurrences ascend, so each of its ranges starts
+        where the last one ended.
         """
-        starts = self.starts
-        marks = [0] * (len(starts) + 1)
+        starts, order = self.starts, self.order
+        reached: set[int] = set()
         for length, positions in occurrences:
+            top = 0
             for p in positions:
-                marks[bisect_left(starts, p - window + 1 - self.reach)] += 1
-                marks[bisect_right(starts, p + length - 1 + window)] -= 1
-        reached = sorted(i for i, depth in zip(self.order, accumulate(marks)) if depth)
-        return [self.mentions[i] for i in reached]
+                lo = max(bisect_left(starts, p - window + 1 - self.reach), top)
+                hi = bisect_right(starts, p + length - 1 + window)
+                if lo < hi:
+                    reached.update(order[lo:hi])
+                    top = hi
+        return [self.mentions[i] for i in sorted(reached)]
 
 
 @dataclass

@@ -301,26 +301,35 @@ def read_report(path: str) -> EvalReport:
     return EvalReport(system=system, per_query=per_query)
 
 
-def write_comparison(reports: Sequence[EvalReport], path: str) -> None:
+def write_comparison(reports: Sequence[EvalReport], path: str) -> dict[int, int]:
     """Macro metrics per system; values significantly different from the
-    first (baseline) system at p < 0.05 are starred."""
+    first (baseline) system at p < 0.05 are starred.  A report over other
+    queries than the first is not tested; returns the position of each
+    such report and the number of query ids that differ."""
     if not reports:
         raise EvalError("no reports to compare")
     baseline = reports[0]
+    base_ids = set(baseline.query_ids())
+    untested = {
+        k: len(base_ids.symmetric_difference(rep.query_ids()))
+        for k, rep in enumerate(reports)
+        if rep.query_ids() != baseline.query_ids()
+    }
     field_names = [f.name for f in fields(MetricSet)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("system\t" + "\t".join(METRIC_COLUMNS) + "\n")
-        for rep in reports:
+        for k, rep in enumerate(reports):
             cells = []
             for name in field_names:
                 value = getattr(rep.macro(), name)
                 cell = f"{value:.4f}"
-                if rep is not baseline and rep.query_ids() == baseline.query_ids():
+                if k and k not in untested:
                     _, p = paired_ttest(rep.metric_values(name), baseline.metric_values(name))
                     if p < 0.05:
                         cell += "*"
                 cells.append(cell)
             fh.write(rep.system + "\t" + "\t".join(cells) + "\n")
+    return untested
 
 
 def write_run(rankings: Sequence[Ranking], path: str, tag: str = "proxrank") -> None:

@@ -224,8 +224,8 @@ def bm25_score(
     """
     if stats.num_docs == 0:
         return 0.0
-    tfs = _term_frequencies(query, tokens, Counter(tokens))
-    return _bm25(len(tokens), tfs, query, stats, params)
+    terms = _QueryTerms(query, stats, params)
+    return terms.bm25(len(tokens), terms.frequencies(tokens, Counter(tokens)))
 
 
 def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> float:
@@ -237,58 +237,96 @@ def cosine_score(tokens: Sequence[str], query: Query, stats: CorpusStats) -> flo
     if stats.num_docs == 0:
         return 0.0
     state = TermState.of(tokens, stats)
-    return _cosine(state, _term_frequencies(query, state.tokens, state.counts), query, stats)
+    terms = _QueryTerms(query, stats)
+    return terms.cosine(state, terms.frequencies(state.tokens, state.counts))
 
 
-def _term_frequencies(
-    query: Query, tokens: Sequence[str], counts: Mapping[str, int]
-) -> dict[str, int]:
-    """tf of each distinct query term, by text; a phrase is scanned once."""
-    return {
-        term.text: len(phrase_starts(tokens, term.tokens, range(len(tokens))))
-        if term.is_phrase
-        else counts[term.tokens[0]]
-        for term in query.distinct_terms()
-    }
+class _QueryTerms:
+    """The query-level constants of whole-document BM25 and cosine.
+
+    ``keys`` are the distinct token tuples of the query's terms, in
+    first-occurrence order; a document's tf is counted once per key (each
+    phrase scanned once).  BM25 keeps ``multiplicity * idf`` per distinct
+    term text.  Cosine keeps one query weight per key: terms whose texts
+    split into the same tokens share the first one's key and the last
+    one's weight, as a dict keyed by token tuple would.
+    """
+
+    def __init__(
+        self, query: Query, stats: CorpusStats, params: Bm25Params = Bm25Params()
+    ) -> None:
+        distinct = query.distinct_terms()
+        multiplicity = query.multiplicity()
+        position: dict[tuple[str, ...], int] = {}
+        for term in distinct:
+            position.setdefault(term.tokens, len(position))
+        self.keys = list(position)
+        n = stats.num_docs
+        self.bm25_terms: list[tuple[int, float]] = []
+        weights: dict[int, float] = {}
+        idfs: dict[int, float] = {}
+        for term in distinct:
+            k = position[term.tokens]
+            df = stats.doc_frequency(term.tokens)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            self.bm25_terms.append((k, multiplicity[term.text] * idf))
+            idfs[k] = compute_idf(stats, term.text)
+            weights[k] = multiplicity[term.text] * idfs[k]
+        # Per key, in key order (the dicts were filled in that order).
+        self.query_weights = list(weights.values())
+        self.idfs = list(idfs.values())
+        self.is_phrase = [len(key) > 1 for key in self.keys]
+        self.query_norm = math.sqrt(sum(w * w for w in self.query_weights))
+        self.k1, self.b = params.k1, params.b
+        self.avg = stats.avg_doc_len or 1.0
+
+    def frequencies(self, tokens: Sequence[str], counts: Mapping[str, int]) -> list[int]:
+        """tf of each key in ``tokens``; a phrase is scanned once."""
+        return [
+            len(phrase_starts(tokens, key, range(len(tokens)))) if len(key) > 1 else counts[key[0]]
+            for key in self.keys
+        ]
+
+    def bm25(self, dl: int, tfs: Sequence[int]) -> float:
+        length_norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg)
+        score = 0.0
+        for k, weight in self.bm25_terms:
+            tf = tfs[k]
+            if tf:
+                score += weight * tf * (self.k1 + 1.0) / (tf + length_norm)
+        return score
+
+    def cosine(self, state: TermState, tfs: Sequence[int]) -> float:
+        doc_weights = [tf * idf if tf else 0.0 for tf, idf in zip(tfs, self.idfs)]
+        dot = sum(w * d for w, d in zip(self.query_weights, doc_weights))
+        if dot == 0.0:
+            return 0.0
+        # The document norm adds the matched phrases after the unigrams, in one
+        # sum, so its bits do not depend on whether the state was cached.
+        phrases = [d * d for d, phrase in zip(doc_weights, self.is_phrase) if phrase and d]
+        doc_norm = math.sqrt(sum(state.squares + phrases) if phrases else state.sum_squares)
+        return dot / (doc_norm * self.query_norm)
 
 
-def _bm25(
-    dl: int, tfs: Mapping[str, int], query: Query, stats: CorpusStats, params: Bm25Params
-) -> float:
-    n = stats.num_docs
-    avg = stats.avg_doc_len or 1.0
-    multiplicity = query.multiplicity()
-    score = 0.0
-    for term in query.distinct_terms():
-        tf = tfs[term.text]
-        if tf == 0:
-            continue
-        df = stats.doc_frequency(term.tokens)
-        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        norm = tf + params.k1 * (1.0 - params.b + params.b * dl / avg)
-        score += multiplicity[term.text] * idf * tf * (params.k1 + 1.0) / norm
-    return score
+@dataclass(frozen=True)
+class _Featurization:
+    """What :func:`document_scores` needs of one (query, layout, params):
+    the family offsets and, when ``noprox`` is active, the query terms."""
 
+    noprox: int | None
+    pad: int | None
+    terms: _QueryTerms | None
 
-def _cosine(state: TermState, tfs: Mapping[str, int], query: Query, stats: CorpusStats) -> float:
-    multiplicity = query.multiplicity()
-    query_weights: dict[tuple[str, ...], float] = {}
-    doc_weights: dict[tuple[str, ...], float] = {}  # of the query's terms only
-    for term in query.distinct_terms():
-        idf = compute_idf(stats, term.text)
-        query_weights[term.tokens] = multiplicity[term.text] * idf
-        tf = tfs[term.text]
-        if tf:
-            doc_weights[term.tokens] = tf * idf
-    dot = sum(w * doc_weights.get(k, 0.0) for k, w in query_weights.items())
-    if dot == 0.0:
-        return 0.0
-    # The document norm adds the matched phrases after the unigrams, in one
-    # sum, so its bits do not depend on whether the state was cached.
-    phrases = [w * w for k, w in doc_weights.items() if len(k) > 1]
-    doc_norm = math.sqrt(sum(state.squares + phrases) if phrases else state.sum_squares)
-    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
-    return dot / (doc_norm * query_norm)
+    @classmethod
+    def of(
+        cls, query: Query, stats: CorpusStats, layout: FeatureLayout, params: Bm25Params
+    ) -> "_Featurization":
+        lexical = layout.has("noprox") and stats.num_docs > 0
+        return cls(
+            layout.family_offset("noprox") if lexical else None,
+            layout.family_offset("pad") if layout.has("pad") else None,
+            _QueryTerms(query, stats, params) if lexical else None,
+        )
 
 
 def document_scores(
@@ -297,26 +335,32 @@ def document_scores(
     stats: CorpusStats,
     layout: FeatureLayout,
     params: Bm25Params = Bm25Params(),
+    featurization: _Featurization | None = None,
 ) -> FeatureVector:
     """Whole-document features: BM25 and cosine (noprox) plus the pad.
 
     Both scores read the document's term state from ``stats``, which
     builds it on the first call for that document, and one tf per
     distinct query term: each phrase is scanned once per call.
+    ``featurization`` holds the query's constants for this layout and
+    ``params``; :func:`context_matrix` builds it once for all its
+    documents, and a call without it builds its own.
     """
+    if featurization is None:
+        featurization = _Featurization.of(query, stats, layout, params)
     out: FeatureVector = {}
-    if layout.has("noprox") and stats.num_docs:
-        offset = layout.family_offset("noprox")
+    terms = featurization.terms
+    if terms is not None:
         state = stats.term_state(document)
-        tfs = _term_frequencies(query, state.tokens, state.counts)
-        bm25 = _bm25(len(state.tokens), tfs, query, stats, params)
-        cos = _cosine(state, tfs, query, stats)
+        tfs = terms.frequencies(state.tokens, state.counts)
+        bm25 = terms.bm25(len(state.tokens), tfs)
+        cos = terms.cosine(state, tfs)
         if bm25:
-            out[offset] = bm25
+            out[featurization.noprox] = bm25
         if cos:
-            out[offset + 1] = cos
-    if layout.has("pad"):
-        out[layout.family_offset("pad")] = 1.0
+            out[featurization.noprox + 1] = cos
+    if featurization.pad is not None:
+        out[featurization.pad] = 1.0
     return out
 
 
@@ -346,14 +390,20 @@ def _proximity_rows(
         return out
     total_idf = compute_idf(stats, query)
     fraction: dict[str, float] = {}
-    cells: list[tuple[int, int, int]] = []
+    owner: list[int] = []
+    shares: list[float] = []
+    distances: list[int] = []
     for c, ctx in enumerate(contexts):
         for text, distance in ctx.matches.items():
             if text not in fraction:
                 fraction[text] = compute_idf(stats, text) / total_idf
-            cells.append((c, layout.idf_bucket(fraction[text]), layout.distance_bucket(distance)))
-    grid = np.zeros((n, *layout.grid_shape))
-    np.add.at(grid, tuple(np.array(cells, dtype=np.intp).reshape(-1, 3).T), 1.0)
+            owner.append(c)
+            shares.append(fraction[text])
+            distances.append(distance)
+    rows, cols = layout.grid_shape
+    i, j = _buckets(layout, shares, distances)
+    cells = (np.array(owner, dtype=np.intp) * rows + i) * cols + j
+    grid = np.bincount(cells, minlength=n * rows * cols).reshape(n, rows, cols).astype(float)
     # A rectangle cell counts the matches at least as rare and at least as
     # close as itself: a suffix sum over both grid axes.
     rectangle = grid[:, ::-1, ::-1].cumsum(axis=1).cumsum(axis=2)[:, ::-1, ::-1]
@@ -368,6 +418,29 @@ def _proximity_rows(
             for b, bound in enumerate(layout.distance_boundaries):
                 out[c, start + b] = sum(fraction[t] for t, d in ctx.matches.items() if d <= bound)
     return out
+
+
+def _buckets(
+    layout: FeatureLayout, shares: Sequence[float], distances: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each match's rarity and proximity coordinates, as
+    :meth:`FeatureLayout.idf_bucket` and :meth:`FeatureLayout.distance_bucket`
+    give them one by one; the first match out of range raises their error."""
+    share = np.array(shares, dtype=float)
+    distance = np.array(distances)
+    bad_share = ~((share > 0.0) & (share <= 1.0 + 1e-12))
+    bad = bad_share | (distance < 1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_share[k]:
+            layout.idf_bucket(shares[k])
+        layout.distance_bucket(distances[k])
+    rows, cols = layout.grid_shape
+    i = np.searchsorted(layout.idf_fraction_boundaries, np.minimum(share, 1.0))
+    np.minimum(i, rows - 1, out=i)
+    j = np.searchsorted(layout.distance_boundaries, distance)
+    np.minimum(j, cols - 1, out=j)
+    return i, cols - 1 - j
 
 
 def rectangle_features(
@@ -397,13 +470,21 @@ def context_matrix(
 ) -> np.ndarray:
     """Feature rows of any contexts, one entity's or many, as an (n, M) array.
     Whole-document scores are computed once per distinct document, and
-    ``prepare_queries`` passes a whole query's contexts in one call."""
+    ``prepare_queries`` passes a whole query's contexts in one call; the
+    query's constants are built once per call."""
     contexts = list(contexts)
     rows = _proximity_rows(contexts, query, index.stats, layout)
-    doc_rows: dict[str, np.ndarray] = {}
-    for row, ctx in zip(rows, contexts):
-        if ctx.doc_id not in doc_rows:
-            scores = document_scores(index.documents[ctx.doc_id], query, index.stats, layout, params)
-            doc_rows[ctx.doc_id] = to_dense(scores, rows.shape[1])
-        row += doc_rows[ctx.doc_id]
-    return _checked(rows, query, [ctx.doc_id for ctx in contexts])
+    if not contexts:
+        return rows
+    featurization = _Featurization.of(query, index.stats, layout, params)
+    doc_ids = [ctx.doc_id for ctx in contexts]
+    position = {doc_id: k for k, doc_id in enumerate(dict.fromkeys(doc_ids))}
+    doc_rows = np.zeros((len(position), rows.shape[1]))
+    for doc_id, k in position.items():
+        scores = document_scores(
+            index.documents[doc_id], query, index.stats, layout, params, featurization
+        )
+        for column, value in scores.items():
+            doc_rows[k, column] = value
+    rows += doc_rows[[position[doc_id] for doc_id in doc_ids]]
+    return _checked(rows, query, doc_ids)

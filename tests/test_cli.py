@@ -11,7 +11,7 @@ import pytest
 import proxrank
 from proxrank.cli import main
 from proxrank.corpus import load_corpus
-from proxrank.evaluation import read_report, read_run
+from proxrank.evaluation import EvalReport, read_report, read_run, write_report
 from proxrank.training import load_model
 
 
@@ -475,6 +475,19 @@ class TestXvalCommand:
                 "xval", "features", ["--kernel-width", "3", "--lm-lambda", "0.9"],
                 "--system features takes no --lm-lambda, --kernel-width",
             ),
+            # Only the grid and rectangle blocks are smoothed, only noprox reads BM25.
+            (
+                "xval", "features", ["--families", "noprox,pad", "--smooth", "5"],
+                "--system features takes no --smooth",
+            ),
+            (
+                "xval", "features", ["--families", "rectangle,pad", "--k1", "3"],
+                "--system features takes no --k1",
+            ),
+            (
+                "train", "features", ["--families", "idfupto,pad", "--smooth", "2", "--b", "0.5"],
+                "--system features takes no --smooth, --b",
+            ),
         ],
     )
     def test_system_refuses_flags_it_does_not_read(
@@ -582,6 +595,39 @@ class TestCompareCommand:
             lines = fh.read().splitlines()
         assert lines[0].startswith("system\t")
         assert {ln.split("\t")[0] for ln in lines[1:]} == {"count", "balog2"}
+        assert "warnings" not in manifest_of(out)
+
+    def test_report_over_other_queries_is_named_in_a_warning(self, synth_dir, tmp_path):
+        # A report over other query ids than the first gets no t-test; the
+        # manifest says so, and comparison.tsv is written as before.
+        out = str(tmp_path / "xv")
+        assert main(
+            [
+                "xval", "--system", "balog2",
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30",
+            ]
+        ) == 0
+        full = read_report(os.path.join(out, "report.tsv"))
+        kept = full.query_ids()[:2]
+        subset = EvalReport("subset", {qid: full.per_query[qid] for qid in kept})
+        reports = [os.path.join(out, "report.tsv"), str(tmp_path / "subset.tsv")]
+        write_report(subset, reports[1])
+        cmp_dir = str(tmp_path / "cmp")
+        assert main(["compare", "--reports", *reports, "--out", cmp_dir]) == 0
+        manifest = manifest_of(cmp_dir)
+        assert manifest["status"] == "ok"
+        differing = len(full.query_ids()) - len(kept)
+        assert manifest["warnings"] == [
+            f"subset.tsv (system subset): {differing} query ids differ from report.tsv; "
+            "no t-test was run against it"
+        ]
+        with open(os.path.join(cmp_dir, "comparison.tsv")) as fh:
+            rows = fh.read().splitlines()
+        assert [row.split("\t")[0] for row in rows[1:]] == ["balog2", "subset"]
+        assert "*" not in rows[2]
 
 
 class TestUsage:
@@ -647,6 +693,43 @@ class TestRankSettings:
         explicit = ["--window", "30", "--granularity", "per-mention", "--k1", "1.2", "--b", "0.75"]
         assert _rank(synth_dir, flagged, "--model", model, *explicit) == 0
         assert _run_bytes(plain) == _run_bytes(flagged)
+
+    @pytest.mark.parametrize(
+        "ranker, flags, message",
+        [
+            (["--baseline", "count"], ["--k1", "3", "--lm-lambda", "0.9"],
+             "--baseline count takes no --k1, --lm-lambda"),
+            (["--baseline", "balog2"], ["--k1", "3", "--kernel-width", "7"],
+             "--baseline balog2 takes no --k1, --kernel-width"),
+            (["--baseline", "petkova"], ["--b", "0.5"], "--baseline petkova takes no --b"),
+            (["--model"], ["--lm-lambda", "0.9"], "--model takes no --lm-lambda"),
+        ],
+    )
+    def test_ranker_refuses_flags_it_does_not_read(
+        self, synth_dir, model_dir, tmp_path, capsys, ranker, flags, message
+    ):
+        if ranker == ["--model"]:
+            ranker = ["--model", os.path.join(model_dir, "model.json")]
+        out = str(tmp_path / "run")
+        assert _rank(synth_dir, out, *ranker, *flags) == 1
+        assert capsys.readouterr().err == f"proxrank rank: featurize: {message}\n"
+        manifest = manifest_of(out)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == message
+        assert os.listdir(out) == ["manifest.json"]
+
+    def test_ranker_takes_flags_it_reads(self, synth_dir, model_dir, tmp_path):
+        model = os.path.join(model_dir, "model.json")
+        for k, flags in enumerate(
+            [
+                ["--baseline", "petkova", "--lm-lambda", "0.7", "--kernel-width", "10"],
+                ["--baseline", "balog2", "--lm-lambda", "0.7", "--k1", "1.2"],
+                ["--model", model, "--lm-lambda", "0.5", "--k1", "1.2", "--window", "30"],
+            ]
+        ):
+            out = str(tmp_path / f"run{k}")
+            assert _rank(synth_dir, out, *flags) == 0, flags
+            assert manifest_of(out)["status"] == "ok"
 
     def test_baseline_still_follows_the_flags(self, synth_dir, tmp_path):
         default, explicit, narrow = (str(tmp_path / n) for n in ("default", "explicit", "narrow"))

@@ -6,6 +6,7 @@ splits {0.25, 0.5, 0.75, 1.0} a matched-IDF share of 0.35 falls in band
 (columns count toward the mention, so column 2 is distance <= 2).
 """
 
+import itertools
 import math
 import os
 
@@ -16,8 +17,10 @@ from proxrank import features
 from proxrank.corpus import (
     BEST_PER_DOCUMENT,
     PER_MENTION,
+    Context,
     CorpusError,
     Document,
+    Mention,
     Query,
     QueryTerm,
     RetrievalConfig,
@@ -537,3 +540,136 @@ class TestDocumentTermState:
             for contexts in find_candidates(index, query, retrieval).support.values():
                 self._assert_matches_oracle(index, query, contexts, TRAIN_RANK_LAYOUT)
         assert len(index.stats.term_states) > 1
+
+
+def _random_case(rng):
+    """A small random corpus with overlapping mentions and a query with
+    phrases, repeated terms and, now and then, two texts that split into
+    one token tuple ("a b" and "a  b")."""
+    vocab = ("a", "b", "c", "d", "e")
+    documents = []
+    for k in range(int(rng.integers(1, 7))):
+        n = int(rng.integers(1, 80))
+        draws = rng.choice(len(vocab), size=n, p=(0.35, 0.3, 0.15, 0.12, 0.08))
+        tokens = tuple(vocab[i] for i in draws)
+        mentions = []
+        for _ in range(int(rng.integers(0, 8))):
+            start = int(rng.integers(0, n))
+            end = min(n, start + int(rng.integers(1, 5)))
+            mentions.append(Mention(f"e{rng.integers(0, 5)}", start, end))
+        documents.append(Document(f"d{k}", tokens, tuple(mentions)))
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        r = rng.random()
+        if r < 0.3:
+            text = " ".join(vocab[i] for i in rng.integers(0, 3, int(rng.integers(2, 4))))
+        elif r < 0.45 and terms:
+            text = terms[int(rng.integers(0, len(terms)))].text  # a repeated term
+        else:
+            text = vocab[int(rng.integers(0, len(vocab)))]
+        terms.append(QueryTerm(text))
+    if rng.random() < 0.4:
+        k = int(rng.integers(0, len(terms) + 1))
+        terms[k:k] = [QueryTerm("a b"), QueryTerm("a  b")]
+    return documents_to_index(documents), Query("q", terms)
+
+
+def _random_layout(rng, families):
+    """Random boundaries, so that matches clamp on both grid axes."""
+    distances = rng.choice(np.arange(1, 21), int(rng.integers(1, 6)), replace=False)
+    fractions = rng.choice(np.arange(1, 11) / 10, int(rng.integers(1, 6)), replace=False)
+    return FeatureLayout(
+        families=families,
+        distance_boundaries=tuple(sorted(int(d) for d in distances)),
+        idf_fraction_boundaries=tuple(sorted(float(f) for f in fractions)),
+    )
+
+
+ALL_MIXES = [
+    mix for r in range(1, len(FAMILY_ORDER) + 1) for mix in itertools.combinations(FAMILY_ORDER, r)
+]
+
+
+class TestQueryScopedFeaturizer:
+    """``context_matrix`` builds the query's constants once and hands them
+    to every ``document_scores`` call; the rows must keep the bits of the
+    dict oracle, for every family mix."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_corpora_every_family_mix(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        rows = shared = 0
+        for _ in range(12):
+            index, query = _random_case(rng)
+            config = RetrievalConfig(window=int(rng.integers(1, 12)))
+            support = find_candidates(index, query, config).support
+            contexts = [ctx for eid in support for ctx in support[eid]]
+            shared += len({t.tokens for t in query.terms}) < len({t.text for t in query.terms})
+            params = Bm25Params(k1=float(rng.uniform(0.0, 3.0)), b=float(rng.uniform(0.0, 1.0)))
+            for mix in ALL_MIXES:
+                layout = _random_layout(rng, mix)
+                got = context_matrix(index, query, contexts, layout, params)
+                want = oracles.feature_stack(index, query, contexts, layout, params.k1, params.b)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (seed, mix, [t.text for t in query.terms])
+                rows += len(contexts)
+        assert rows > 500 and shared > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lone_document_scores_call_equals_its_row(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        checked = 0
+        for _ in range(15):
+            index, query = _random_case(rng)
+            support = find_candidates(index, query, RetrievalConfig(window=8)).support
+            contexts = [ctx for eid in support for ctx in support[eid]]
+            for mix in ALL_MIXES:
+                layout = _random_layout(rng, mix)
+                rows = context_matrix(index, query, contexts, layout)
+                whole = [
+                    layout.family_offset(family) + k
+                    for family in ("noprox", "pad")
+                    if layout.has(family)
+                    for k in range(layout.family_size(family))
+                ]
+                for row, ctx in zip(rows, contexts):
+                    alone = document_scores(index.documents[ctx.doc_id], query, index.stats, layout)
+                    dense = features.to_dense(alone, layout.dimension)
+                    assert dense[whole].tobytes() == row[whole].tobytes()
+                    assert set(alone) <= set(whole)
+                    checked += 1
+        assert checked > 100
+
+    def test_shared_token_tuple_keeps_the_later_weight_at_the_first_key(self):
+        # Cosine keys query weights by token tuple: "a b" and "a  b" share
+        # one key, at the first one's position, with the last one's weight.
+        documents = [
+            Document("d0", ("a", "b", "c", "a", "b", "x")),
+            Document("d1", ("c", "d", "a", "b")),
+            Document("d2", ("d", "d", "c")),
+        ]
+        index = documents_to_index(documents)
+        query = Query("q", [QueryTerm("a b"), QueryTerm("c"), QueryTerm("a  b"), QueryTerm("a  b")])
+        for term in query.distinct_terms():
+            index.phrase_df(term.tokens)
+        layout = FeatureLayout(families=("noprox",))
+        for doc in documents:
+            got = document_scores(doc, query, index.stats, layout)
+            assert got.get(0, 0.0) == oracles.bm25_document(doc.tokens, query, index.stats)
+            assert got.get(1, 0.0) == oracles.cosine_document(doc.tokens, query, index.stats)
+            assert cosine_score(doc.tokens, query, index.stats) == got.get(1, 0.0)
+
+    def test_bucket_range_checks_keep_their_messages(self, fixture_index):
+        # The first match out of range, in match order, raises the error
+        # FeatureLayout.idf_bucket or distance_bucket would raise for it.
+        query = Query("q", [QueryTerm("python")])
+        ctx = find_candidates(fixture_index, query).support["guido"][0]
+        rare = max(fixture_index.stats.df, key=lambda tok: -fixture_index.stats.df[tok])
+        assert compute_idf(fixture_index.stats, rare) > compute_idf(fixture_index.stats, query)
+        def bad(matches):
+            return Context(ctx.doc_id, ctx.entity_id, ctx.mention_offset, ctx.window, matches)
+
+        with pytest.raises(FeatureError, match=r"^distance must be >= 1, got 0$"):
+            context_matrix(fixture_index, query, [ctx, bad({"python": 0, rare: 3})], SMALL)
+        with pytest.raises(FeatureError, match=r"^IDF fraction out of range: "):
+            context_matrix(fixture_index, query, [ctx, bad({rare: 2, "python": 0})], SMALL)

@@ -504,3 +504,103 @@ class TestQueryTermTokens:
         back = read_queries(after)
         assert back == queries
         assert [t.tokens for t in back[0].terms] == [("new", "york"), ("city",)]
+
+
+def dense_corpus(rng):
+    """Long documents over four tokens, three of them common, so a query
+    term occurs many times in one document, with many mentions of few
+    entities, so most entities hold many contexts and a rare one few."""
+    documents = []
+    for k in range(int(rng.integers(2, 6))):
+        n = int(rng.integers(20, 240))
+        draws = rng.choice(4, size=n, p=(0.45, 0.3, 0.2, 0.05))
+        tokens = tuple(("a", "b", "c", "d")[i] for i in draws)
+        mentions = []
+        for _ in range(int(rng.integers(1, 30))):
+            start = int(rng.integers(0, n))
+            width = int(rng.integers(1, 12)) if rng.random() < 0.1 else int(rng.integers(1, 4))
+            entity = rng.choice(5, p=(0.4, 0.3, 0.2, 0.06, 0.04))
+            mentions.append(Mention(f"e{entity}", start, min(n, start + width)))
+        documents.append(Document(f"d{k}", tokens, tuple(mentions)))
+    return documents_to_index(documents)
+
+
+class TestDenseOccurrences:
+    """Documents where one term occurs dozens of times and an entity has
+    dozens of contexts: the mentions that occurrences reach are a union of
+    many overlapping ranges, and both of the LM baselines' sums (in order
+    below eight values, pairwise from eight) run."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_retrieval_and_baselines_against_the_scanners(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        sizes = Counter()
+        for _ in range(10):
+            index = dense_corpus(rng)
+            terms = [QueryTerm(t) for t in rng.choice(["a", "b", "c", "d", "b c", "a a"], 3)]
+            query = Query("q", terms)
+            for window in (1, 3, 12):
+                config = RetrievalConfig(window=window)
+                got = find_candidates(index, query, config)
+                assert listing(got) == listing(oracles.find_candidates_scan(index, query, config))
+                for eid, contexts in got.support.items():
+                    sizes["contexts", len(contexts) >= aggregators._PAIRWISE_FROM] += 1
+                    for ctx in contexts:
+                        for read in ctx.starts.values():
+                            found = len(read.get(ctx.doc_id, ()))
+                            sizes["positions", found >= aggregators._PAIRWISE_FROM] += bool(found)
+                for smoothing, width in ((0.5, 25.0), (0.1, 2.0), (1.0, 0.5)):
+                    assert_scores_match(index, query, got.support, smoothing, width)
+        assert min(sizes[kind, many] for kind in ("contexts", "positions") for many in (0, 1)) > 5
+
+    def test_reachable_is_the_union_of_the_occurrence_ranges(self):
+        # Each occurrence [p, p + length) reaches the mentions that start in
+        # [p - window + 1 - reach, p + length - 1 + window], reach being the
+        # widest span: every mention within the window, and maybe more.
+        # reachable returns each such mention once, in document order.
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n = int(rng.integers(1, 120))
+            mentions = random_mentions(rng, n)
+            geometry = MentionGeometry.of(mentions)
+            occurrences = []
+            for _ in range(int(rng.integers(0, 4))):
+                positions = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+                occurrences.append((int(rng.integers(1, 4)), sorted(positions.tolist())))
+            window = int(rng.integers(1, 20))
+            pairs = [(length, p) for length, positions in occurrences for p in positions]
+            want = [
+                m
+                for m in mentions
+                if any(
+                    p - window + 1 - geometry.reach <= m.start <= p + length - 1 + window
+                    for length, p in pairs
+                )
+            ]
+            got = geometry.reachable(occurrences, window)
+            assert got == want
+            near = [
+                m
+                for m in mentions
+                if any(
+                    m.start <= p + length - 1 + window and m.end >= p - window + 1
+                    for length, p in pairs
+                )
+            ]
+            assert all(m in got for m in near)
+
+
+def test_np_sum_adds_fewer_than_eight_values_in_order():
+    # The LM baselines add short lists with Python's sum and keep np.sum
+    # from _PAIRWISE_FROM values on; that holds only while np.sum adds
+    # fewer float64 values one by one, in order.
+    rng = np.random.default_rng(0)
+    assert aggregators._PAIRWISE_FROM == 8
+    for n in range(1, aggregators._PAIRWISE_FROM):
+        for _ in range(2000):
+            values = np.sort(rng.random(n) * 10.0 ** rng.integers(-8, 8, n))
+            total = 0.0
+            for v in values.tolist():
+                total += v
+            assert float(np.sum(values)).hex() == total.hex(), values.tolist()
+            assert aggregators._sorted_total(values[::-1].tolist()).hex() == total.hex()
