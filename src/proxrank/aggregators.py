@@ -416,11 +416,21 @@ def balog2_score(
 _PAIRWISE_FROM = 8
 
 
+def _in_order_sum(values: Iterable[float]) -> float:
+    # 0.0 + v1 + v2 + ..., one rounding per addition, as np.sum adds fewer
+    # than _PAIRWISE_FROM values.  Not the built-in sum(), which compensates
+    # float rounding from Python 3.12 on.
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _sorted_total(values: list[float]) -> float:
     """``float(np.sum(np.sort(values)))``, bit for bit: below
-    ``_PAIRWISE_FROM`` values, Python's in-order sum of the sorted list."""
+    ``_PAIRWISE_FROM`` values, the in-order sum of the sorted list."""
     if len(values) < _PAIRWISE_FROM:
-        return float(sum(sorted(values)))
+        return _in_order_sum(sorted(values))
     return float(np.sum(np.sort(np.asarray(values))))
 
 
@@ -468,7 +478,7 @@ def _positional_masses(
     values = memoryview(kernel)
     return [
         (
-            float(sum([values[p] for p in where]))
+            _in_order_sum([values[p] for p in where])
             if len(where) < _PAIRWISE_FROM
             else float(kernel[np.asarray(where, dtype=np.intp)].sum())
         )

@@ -32,9 +32,9 @@ the same per-term code.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -139,16 +139,22 @@ class FeatureLayout:
             "pad": 1,
         }[family]
 
-    def family_offset(self, family: str) -> int:
-        if family not in self.families:
-            raise FeatureError(f"family {family!r} not active in this layout")
+    @cached_property
+    def _offsets(self) -> dict[str, int]:
+        # Each active family's first column, worked out once per layout:
+        # document_scores looks offsets up once per document.
+        offsets: dict[str, int] = {}
         offset = 0
         for f in FAMILY_ORDER:
-            if f == family:
-                return offset
             if f in self.families:
+                offsets[f] = offset
                 offset += self.family_size(f)
-        raise AssertionError("unreachable")
+        return offsets
+
+    def family_offset(self, family: str) -> int:
+        if family not in self._offsets:
+            raise FeatureError(f"family {family!r} not active in this layout")
+        return self._offsets[family]
 
     @property
     def dimension(self) -> int:
@@ -170,23 +176,36 @@ class FeatureLayout:
             raise FeatureError(f"cell ({i}, {j}) outside {rows}x{cols} grid")
         return self.family_offset(family) + i * cols + j
 
+    def buckets(
+        self, fractions: Sequence[float], distances: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rarity and proximity coordinates (i, j) of each match, given its
+        IDF fraction in (0, 1] and its token distance >= 1.  The first match
+        out of range, in order, raises."""
+        fraction = np.asarray(fractions, dtype=float)
+        distance = np.asarray(distances)
+        bad_fraction = ~((fraction > 0.0) & (fraction <= 1.0 + 1e-12))  # true for NaN
+        bad = bad_fraction | (distance < 1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if bad_fraction[k]:
+                raise FeatureError(f"IDF fraction out of range: {fractions[k]}")
+            raise FeatureError(f"distance must be >= 1, got {distances[k]}")
+        rows, cols = self.grid_shape
+        i = np.searchsorted(self.idf_fraction_boundaries, np.minimum(fraction, 1.0))
+        np.minimum(i, rows - 1, out=i)
+        # A distance beyond the last boundary clamps to the farthest bucket.
+        j = np.searchsorted(self.distance_boundaries, distance)
+        np.minimum(j, cols - 1, out=j)
+        return i, cols - 1 - j
+
     def distance_bucket(self, distance: int) -> int:
         """Proximity coordinate j: larger means closer to the mention."""
-        if distance < 1:
-            raise FeatureError(f"distance must be >= 1, got {distance}")
-        cols = len(self.distance_boundaries)
-        idx = bisect_left(self.distance_boundaries, distance)
-        if idx >= cols:  # beyond the last boundary: clamp to farthest bucket
-            idx = cols - 1
-        return cols - 1 - idx
+        return int(self.buckets([1.0], [distance])[1][0])
 
     def idf_bucket(self, fraction: float) -> int:
         """Rarity coordinate i: larger means a rarer matched term."""
-        if not (0.0 < fraction <= 1.0 + 1e-12):
-            raise FeatureError(f"IDF fraction out of range: {fraction}")
-        rows = len(self.idf_fraction_boundaries)
-        idx = bisect_left(self.idf_fraction_boundaries, min(fraction, 1.0))
-        return min(idx, rows - 1)
+        return int(self.buckets([fraction], [1])[0][0])
 
     # -- serialization ---------------------------------------------------
 
@@ -308,59 +327,38 @@ class _QueryTerms:
         return dot / (doc_norm * self.query_norm)
 
 
-@dataclass(frozen=True)
-class _Featurization:
-    """What :func:`document_scores` needs of one (query, layout, params):
-    the family offsets and, when ``noprox`` is active, the query terms."""
-
-    noprox: int | None
-    pad: int | None
-    terms: _QueryTerms | None
-
-    @classmethod
-    def of(
-        cls, query: Query, stats: CorpusStats, layout: FeatureLayout, params: Bm25Params
-    ) -> "_Featurization":
-        lexical = layout.has("noprox") and stats.num_docs > 0
-        return cls(
-            layout.family_offset("noprox") if lexical else None,
-            layout.family_offset("pad") if layout.has("pad") else None,
-            _QueryTerms(query, stats, params) if lexical else None,
-        )
-
-
 def document_scores(
     document: Document,
     query: Query,
     stats: CorpusStats,
     layout: FeatureLayout,
     params: Bm25Params = Bm25Params(),
-    featurization: _Featurization | None = None,
+    terms: _QueryTerms | None = None,
 ) -> FeatureVector:
     """Whole-document features: BM25 and cosine (noprox) plus the pad.
 
     Both scores read the document's term state from ``stats``, which
     builds it on the first call for that document, and one tf per
     distinct query term: each phrase is scanned once per call.
-    ``featurization`` holds the query's constants for this layout and
-    ``params``; :func:`context_matrix` builds it once for all its
-    documents, and a call without it builds its own.
+    ``terms`` holds the query's constants for ``params``;
+    :func:`context_matrix` builds them once for all its documents, and a
+    call without them builds its own.
     """
-    if featurization is None:
-        featurization = _Featurization.of(query, stats, layout, params)
     out: FeatureVector = {}
-    terms = featurization.terms
-    if terms is not None:
+    if layout.has("noprox") and stats.num_docs:
+        offset = layout.family_offset("noprox")
+        if terms is None:
+            terms = _QueryTerms(query, stats, params)
         state = stats.term_state(document)
         tfs = terms.frequencies(state.tokens, state.counts)
         bm25 = terms.bm25(len(state.tokens), tfs)
         cos = terms.cosine(state, tfs)
         if bm25:
-            out[featurization.noprox] = bm25
+            out[offset] = bm25
         if cos:
-            out[featurization.noprox + 1] = cos
-    if featurization.pad is not None:
-        out[featurization.pad] = 1.0
+            out[offset + 1] = cos
+    if layout.has("pad"):
+        out[layout.family_offset("pad")] = 1.0
     return out
 
 
@@ -401,7 +399,7 @@ def _proximity_rows(
             shares.append(fraction[text])
             distances.append(distance)
     rows, cols = layout.grid_shape
-    i, j = _buckets(layout, shares, distances)
+    i, j = layout.buckets(shares, distances)
     cells = (np.array(owner, dtype=np.intp) * rows + i) * cols + j
     grid = np.bincount(cells, minlength=n * rows * cols).reshape(n, rows, cols).astype(float)
     # A rectangle cell counts the matches at least as rare and at least as
@@ -418,29 +416,6 @@ def _proximity_rows(
             for b, bound in enumerate(layout.distance_boundaries):
                 out[c, start + b] = sum(fraction[t] for t, d in ctx.matches.items() if d <= bound)
     return out
-
-
-def _buckets(
-    layout: FeatureLayout, shares: Sequence[float], distances: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each match's rarity and proximity coordinates, as
-    :meth:`FeatureLayout.idf_bucket` and :meth:`FeatureLayout.distance_bucket`
-    give them one by one; the first match out of range raises their error."""
-    share = np.array(shares, dtype=float)
-    distance = np.array(distances)
-    bad_share = ~((share > 0.0) & (share <= 1.0 + 1e-12))
-    bad = bad_share | (distance < 1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if bad_share[k]:
-            layout.idf_bucket(shares[k])
-        layout.distance_bucket(distances[k])
-    rows, cols = layout.grid_shape
-    i = np.searchsorted(layout.idf_fraction_boundaries, np.minimum(share, 1.0))
-    np.minimum(i, rows - 1, out=i)
-    j = np.searchsorted(layout.distance_boundaries, distance)
-    np.minimum(j, cols - 1, out=j)
-    return i, cols - 1 - j
 
 
 def rectangle_features(
@@ -476,13 +451,14 @@ def context_matrix(
     rows = _proximity_rows(contexts, query, index.stats, layout)
     if not contexts:
         return rows
-    featurization = _Featurization.of(query, index.stats, layout, params)
+    lexical = layout.has("noprox") and index.stats.num_docs
+    terms = _QueryTerms(query, index.stats, params) if lexical else None
     doc_ids = [ctx.doc_id for ctx in contexts]
     position = {doc_id: k for k, doc_id in enumerate(dict.fromkeys(doc_ids))}
     doc_rows = np.zeros((len(position), rows.shape[1]))
     for doc_id, k in position.items():
         scores = document_scores(
-            index.documents[doc_id], query, index.stats, layout, params, featurization
+            index.documents[doc_id], query, index.stats, layout, params, terms
         )
         for column, value in scores.items():
             doc_rows[k, column] = value

@@ -102,6 +102,20 @@ class TestLayoutGeometry:
         assert SMALL.idf_bucket(0.76) == 3
         assert SMALL.idf_bucket(1.0) == 3
 
+    def test_bucket_ranges(self):
+        # A share a rounding step above 1 still lands in the rarest row.
+        assert SMALL.idf_bucket(1.0 + 1e-13) == 3
+        for share in (0.0, -0.1, 1.0 + 1e-11, math.nan):
+            with pytest.raises(FeatureError, match=r"^IDF fraction out of range: "):
+                SMALL.idf_bucket(share)
+        with pytest.raises(FeatureError, match=r"^distance must be >= 1, got 0$"):
+            SMALL.distance_bucket(0)
+        # Many matches at once: the first one out of range raises its error.
+        with pytest.raises(FeatureError, match=r"^distance must be >= 1, got -2$"):
+            SMALL.buckets([0.5, 0.5, 2.0], [3, -2, 1])
+        i, j = SMALL.buckets([0.1, 0.35, 1.0], [1, 3, 100])
+        assert i.tolist() == [0, 1, 3] and j.tolist() == [2, 1, 0]
+
     def test_worked_example_cell(self):
         # share 0.35 at distance 3 lands in grid cell (1, 1)
         i = SMALL.idf_bucket(0.35)

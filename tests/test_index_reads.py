@@ -591,11 +591,15 @@ class TestDenseOccurrences:
 
 
 def test_np_sum_adds_fewer_than_eight_values_in_order():
-    # The LM baselines add short lists with Python's sum and keep np.sum
-    # from _PAIRWISE_FROM values on; that holds only while np.sum adds
-    # fewer float64 values one by one, in order.
+    # The LM baselines add short lists one by one and keep np.sum from
+    # _PAIRWISE_FROM values on; that holds only while np.sum adds fewer
+    # float64 values one by one, in order.
     rng = np.random.default_rng(0)
     assert aggregators._PAIRWISE_FROM == 8
+    # A compensated sum (the built-in sum() from Python 3.12 on) gives
+    # 1e16 + 2 here; one rounding per addition keeps 1e16.
+    assert float(np.sum([1e16, 1.0, 1.0])) == 1e16
+    assert aggregators._in_order_sum([1e16, 1.0, 1.0]) == 1e16
     for n in range(1, aggregators._PAIRWISE_FROM):
         for _ in range(2000):
             values = np.sort(rng.random(n) * 10.0 ** rng.integers(-8, 8, n))
@@ -604,3 +608,4 @@ def test_np_sum_adds_fewer_than_eight_values_in_order():
                 total += v
             assert float(np.sum(values)).hex() == total.hex(), values.tolist()
             assert aggregators._sorted_total(values[::-1].tolist()).hex() == total.hex()
+            assert aggregators._in_order_sum(values.tolist()).hex() == total.hex()
