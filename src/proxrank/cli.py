@@ -292,15 +292,25 @@ _UNREAD_FLAGS = {
 }
 
 
+# The families of a features layout that read each layout-dependent flag.
+_FAMILIES_READING = {
+    "smooth": ("grid", "rectangle"),
+    "k1": ("noprox",),
+    "b": ("noprox",),
+    "distance_boundaries": ("idfupto", "grid", "rectangle"),
+    "idf_boundaries": ("grid", "rectangle"),
+}
+
+
 def _unread_flags(args: argparse.Namespace, system: str) -> tuple[str, ...]:
-    """The flags ``system`` does not read.  A features layout smooths only
-    its grid and rectangle blocks, and only ``noprox`` reads BM25."""
+    """The flags ``system`` does not read.  A features layout reads a
+    flag of ``_FAMILIES_READING`` only when it has one of its families."""
     if system != "features" or "families" not in args:  # rank --model has no layout flags
         return _UNREAD_FLAGS[system]
     families = set(_names(args.families))
-    layout_unread = ("smooth",) if families.isdisjoint(("grid", "rectangle")) else ()
-    if "noprox" not in families:
-        layout_unread += tuple(_BM25_DEFAULTS)
+    layout_unread = tuple(
+        flag for flag, readers in _FAMILIES_READING.items() if families.isdisjoint(readers)
+    )
     return (*layout_unread, *_UNREAD_FLAGS[system])
 
 

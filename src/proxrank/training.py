@@ -738,6 +738,10 @@ def cutoff_objective(
     return decay[0] / ridge + float(np.sum(hinge * ts.pair_weight))
 
 
+# Weight of the cutoff LP's tie-break, (CUTOFF_TIE_BREAK/ridge) * sum(decay).
+CUTOFF_TIE_BREAK = 1e-6
+
+
 def train_soft_cutoff(
     model: Model,
     prepared: Sequence[PreparedQuery],
@@ -749,17 +753,35 @@ def train_soft_cutoff(
     The decay is written as non-negative increments, D = M u with M the
     upper-triangular ones matrix and u >= 0, so D is non-negative and
     non-increasing by construction and D[0] = sum(u).  With C_p the
-    cumulative sum of pair p's profile difference A_b - A_g, the primal is
+    cumulative sum of pair p's profile difference A_b - A_g, the
+    objective is
 
-        min over u >= 0 of  sum(u)/ridge + sum_p w_p max(0, 1 + C_p @ u),
+        f(u) = sum(u)/ridge + sum_p w_p max(0, 1 + C_p @ u).
 
-    and its dual has ten rows and one column per pair:
+    Its optimum is often a face, not a point: with 2-4 contexts per
+    entity some deciles never carry mass, and their increments are
+    interchangeable.  The tie-break picks the least total decay sum(D) =
+    sum_r (r+1) u_r among the optimal decays, by minimizing f(u) +
+    (eps/ridge) sum(D) with eps = CUTOFF_TIE_BREAK, so the decay depends on
+    the pairs alone, not on their order or on how the solver walks the
+    program.  For eps below a threshold set by the data the perturbed
+    minimizer lies on f's optimal face; above it, f still ends within a
+    relative 10 eps of its optimum, since sum(D) <= 10 D[0] <= 10 ridge f.
 
-        max sum(lam)  s.t.  -C.T @ lam <= 1/ridge,  0 <= lam_p <= w_p.
+    A pair whose C_p has no negative entry has hinge >= 1 at every u >= 0,
+    so it is linear in u and its dual variable is w_p at every optimum; it
+    is folded into the right-hand side.  The dual of the rest has ten rows
+    and one column per remaining pair:
 
-    u is read from the dual's constraint marginals and clamped at 0.  The
-    all-zero decay is always primal-feasible and lam = 0 dual-feasible,
-    so neither program is infeasible; memory grows linearly in the pairs.
+        max sum(lam)  s.t.  -C.T @ lam <= (1 + eps (r+1))/ridge + sum_fixed w_p C_p,
+                            0 <= lam_p <= w_p.
+
+    u is read from the dual's constraint marginals and clamped at 0; when
+    every pair folds, the right-hand side is positive and u = 0 without a
+    solve.  The all-zero decay is always primal-feasible and lam = 0
+    dual-feasible, so neither program is infeasible; memory grows
+    linearly in the pairs.  HiGHS runs without presolve, which costs more
+    than it saves on these short, wide programs.
     """
     config = config or TrainConfig()
     if ridge <= 0.0:
@@ -767,14 +789,21 @@ def train_soft_cutoff(
     ts = TrainingSet.from_prepared(prepared, config)
     if not ts.pair_weight.size:
         raise TrainingError("no usable (good, bad) pairs for the cutoff program")
-    from scipy.optimize import linprog
-
     profiles = _decile_profiles(model, ts)
     cumulative = np.cumsum(profiles[ts.bad] - profiles[ts.good], axis=1)
-    n_pairs = cumulative.shape[0]
+    fixed = np.all(cumulative >= 0.0, axis=1)
+    if fixed.all():
+        return CutoffModel(decay=np.zeros(NUM_DECILES), ridge=ridge)
+    from scipy.optimize import linprog
+
+    rhs = (1.0 + CUTOFF_TIE_BREAK * np.arange(1, NUM_DECILES + 1)) / ridge
+    rhs += ts.pair_weight[fixed] @ cumulative[fixed]
+    free = cumulative[~fixed]
+    n_free = free.shape[0]
     result = linprog(
-        -np.ones(n_pairs), A_ub=-cumulative.T, b_ub=np.full(NUM_DECILES, 1.0 / ridge),
-        bounds=np.column_stack([np.zeros(n_pairs), ts.pair_weight]), method="highs",
+        -np.ones(n_free), A_ub=-free.T, b_ub=rhs,
+        bounds=np.column_stack([np.zeros(n_free), ts.pair_weight[~fixed]]),
+        method="highs", options={"presolve": False},
     )
     if not result.success:
         raise TrainingError(f"cutoff program failed: {result.message}")

@@ -374,6 +374,24 @@ def cutoff_decay_range(per_query, ridge: float, ceiling: float) -> tuple[np.ndar
     return lo, hi
 
 
+def cutoff_decay_least(per_query, ridge: float, ceiling: float) -> np.ndarray:
+    """Decay with the least total sum(decay) over the feasible points of
+    the dense program whose objective is at most ``ceiling``: with
+    ``ceiling`` a hair above the optimum, the optimal decay that the
+    least-total-decay tie-break selects.  Snapped like
+    :func:`cutoff_decay_dense`."""
+    cost, a_ub, b_ub = _dense_cutoff_program(per_query, ridge)
+    total = np.zeros(cost.shape[0])
+    total[:10] = 1.0
+    result = linprog(
+        total, A_ub=np.vstack([a_ub, cost]), b_ub=np.append(b_ub, ceiling),
+        bounds=(0.0, None), method="highs",
+    )
+    if not result.success:
+        raise RuntimeError(f"least-decay program failed: {result.message}")
+    return np.minimum.accumulate(np.maximum(result.x[:10], 0.0))
+
+
 # -- training objective, query by query -------------------------------------------
 
 

@@ -488,6 +488,21 @@ class TestXvalCommand:
                 "train", "features", ["--families", "idfupto,pad", "--smooth", "2", "--b", "0.5"],
                 "--system features takes no --smooth, --b",
             ),
+            # Only idfupto, grid and rectangle read the distance boundaries,
+            # only grid and rectangle the IDF-fraction ones.
+            (
+                "xval", "features", ["--families", "noprox,pad", "--distance-boundaries", "1,2"],
+                "--system features takes no --distance-boundaries",
+            ),
+            (
+                "xval", "features", ["--families", "noprox,pad", "--idf-boundaries", "0.5,1"],
+                "--system features takes no --idf-boundaries",
+            ),
+            (
+                "xval", "features",
+                ["--families", "idfupto,pad", "--distance-boundaries", "1,2", "--idf-boundaries", "0.5,1"],
+                "--system features takes no --idf-boundaries",
+            ),
         ],
     )
     def test_system_refuses_flags_it_does_not_read(
@@ -521,6 +536,7 @@ class TestXvalCommand:
             ("count", ["--lm-lambda", "0.5", "--b", "0.75"]),
             ("macdonald", ["--k1", "1.5", "--b", "0.5", "--max-iters", "10"]),
             ("features", ["--families", "noprox,grid", "--smooth", "2", "--max-iters", "10"]),
+            ("features", ["--families", "idfupto,pad", "--distance-boundaries", "1,2,4", "--max-iters", "10"]),
         ],
     )
     def test_system_takes_flags_it_reads_and_defaults(self, synth_dir, tmp_path, system, flags):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import expit
 
 from proxrank.aggregators import NUM_DECILES, AggregatorSpec, aggregate_score, context_scores
@@ -780,6 +781,134 @@ class TestCutoff:
             got = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(want))
         assert unique >= 12
+
+    # How far two solves of one fit may return different decays, relative
+    # to max(1, largest entry).  With the least-total-decay tie-break the
+    # decay is a function of the pairs: pair-permuted, presolved, folded
+    # and unfolded solves of the fits below differed by at most 1.5e-16,
+    # and pair-permuted and presolved solves of every perfbench xval-loocv
+    # and train-rank fit at seeds 101-104 and 109 by at most 2.9e-15.
+    # Without it, permuting the pairs moved one decile by up to 0.77.
+    SAME_DECAY = 1e-14
+
+    @staticmethod
+    def per_query(model, prepared, config):
+        """The dense oracle's (profiles, pairs) form of a fit."""
+        out = []
+        for pq in sorted(prepared, key=lambda p: p.query_id):
+            s = context_scores(model.weights, pq.stack)
+            profiles = [
+                oracles.decile_profile(list(s[a:b])) for a, b in zip(pq.offsets[:-1], pq.offsets[1:])
+            ]
+            gi, bi = pair_sample(len(pq.good), len(pq.bad), config.pair_cap, config.seed, pq.query_id)
+            out.append((profiles, [(pq.good[g], pq.bad[b]) for g, b in zip(gi, bi)]))
+        return out
+
+    def tie_break_trials(self):
+        """24 random cutoff fits: (model, prepared, ridge, config).  In every
+        other fit each entity has 2 contexts, so only deciles 0 and 5 carry
+        mass and the optimum is a face of tied decays."""
+        rng = np.random.default_rng(61)
+        config = default_config()
+        for trial in range(24):
+            prepared = []
+            for k in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(2, 9))
+                ids = [f"e{j}" for j in range(n)]
+                # Good entities score higher, so the optimal decay is not 0.
+                matrices = [
+                    rng.random((2 if trial % 2 else int(rng.integers(1, 26)), 5)) * (2.0 if j < n // 2 else 1.0)
+                    for j in range(n)
+                ]
+                prepared.append(
+                    PreparedQuery.from_matrices(f"q{k}", ids, matrices, ids[: n // 2], ids[n // 2 :])
+                )
+            model = Model(rng.random(5), AggregatorSpec.from_name("sum"), None)
+            yield model, prepared, (0.5, 1.0, 10.0)[trial % 3], config
+
+    def test_decay_does_not_depend_on_pair_order_or_presolve(self, monkeypatch):
+        solve = scipy.optimize.linprog
+        rng = np.random.default_rng(67)
+
+        def permuted(c, A_ub, b_ub, bounds, **kwargs):
+            order = rng.permutation(c.shape[0])
+            return solve(c[order], A_ub=A_ub[:, order], b_ub=b_ub, bounds=bounds[order], **kwargs)
+
+        def presolved(*args, options, **kwargs):
+            return solve(*args, options={**options, "presolve": True}, **kwargs)
+
+        for model, prepared, ridge, config in self.tie_break_trials():
+            want = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
+            for variant in (permuted, permuted, permuted, presolved):
+                with monkeypatch.context() as m:
+                    m.setattr(scipy.optimize, "linprog", variant)
+                    got = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
+                assert np.max(np.abs(got - want)) <= self.SAME_DECAY * max(1.0, np.max(want))
+
+    def test_decay_is_the_least_total_decay_on_the_optimal_face(self):
+        # The oracle minimizes sum(decay) with the objective up to 1e-12
+        # above its optimum, so it may undercut the optimal face; here it
+        # differed from the fit by at most 1.6e-11 of the largest entry on
+        # the 13 degenerate optima (faces 0.27-2.9 wide in some entry) and
+        # 1.3e-10 elsewhere.
+        degenerate = 0
+        for model, prepared, ridge, config in self.tie_break_trials():
+            per_query = self.per_query(model, prepared, config)
+            optimum = cutoff_objective(
+                oracles.cutoff_decay_dense(per_query, ridge), model, prepared, ridge, config
+            )
+            ceiling = optimum * (1.0 + 1e-12)
+            lo, hi = oracles.cutoff_decay_range(per_query, ridge, ceiling)
+            degenerate += np.max(hi - lo) > 1e-8 * max(1.0, np.max(hi))
+            want = oracles.cutoff_decay_least(per_query, ridge, ceiling)
+            got = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(want))
+        assert degenerate >= 12
+
+    def test_folded_program_returns_the_full_programs_decay(self):
+        folded = 0
+        for model, prepared, ridge, config in self.tie_break_trials():
+            ts = TrainingSet.from_prepared(prepared, config)
+            profiles = proxrank.training._decile_profiles(model, ts)
+            cumulative = np.cumsum(profiles[ts.bad] - profiles[ts.good], axis=1)
+            folded += bool(np.all(cumulative >= 0.0, axis=1).any())
+            # The whole program, every pair a column of the dual.
+            n_pairs = cumulative.shape[0]
+            rhs = (1.0 + proxrank.training.CUTOFF_TIE_BREAK * np.arange(1, NUM_DECILES + 1)) / ridge
+            result = scipy.optimize.linprog(
+                -np.ones(n_pairs), A_ub=-cumulative.T, b_ub=rhs,
+                bounds=np.column_stack([np.zeros(n_pairs), ts.pair_weight]),
+                method="highs", options={"presolve": False},
+            )
+            u = np.maximum(-result.ineqlin.marginals, 0.0)
+            want = np.cumsum(u[::-1])[::-1]
+            got = train_soft_cutoff(model, prepared, ridge=ridge, config=config).decay
+            assert np.max(np.abs(got - want)) <= self.SAME_DECAY * max(1.0, np.max(want))
+        assert folded >= 8
+
+    def test_always_active_pairs_give_the_zero_decay_without_a_solve(self, monkeypatch):
+        # Good entities score 0 and bad ones more in every decile, so each
+        # pair's cumulative row is >= 0: its hinge is >= 1 at every decay,
+        # and any decay above 0 only adds to the objective.
+        rng = np.random.default_rng(71)
+        prepared = [
+            PreparedQuery.from_matrices(
+                f"q{k}", ["g", "b1", "b2"],
+                [np.zeros((3, 4)), rng.random((5, 4)), rng.random((2, 4))], ["g"], ["b1", "b2"],
+            )
+            for k in range(3)
+        ]
+        model = Model(rng.random(4) + 0.1, AggregatorSpec.from_name("sum"), None)
+        config = default_config()
+        want = oracles.cutoff_decay_dense(self.per_query(model, prepared, config), 1.0)
+        assert np.max(want) <= 1e-12
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
+        cutoff = train_soft_cutoff(model, prepared, ridge=1.0, config=config)
+        assert np.array_equal(cutoff.decay, np.zeros(NUM_DECILES))
 
     def test_forty_thousand_pairs_solve_in_seconds(self):
         # The dual's size is 10 rows whatever the pair count.  A primal block
