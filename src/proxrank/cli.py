@@ -80,7 +80,6 @@ from proxrank.training import (
     save_model,
     support_matrix,
     train_model,
-    train_soft_cutoff,
 )
 
 __all__ = [
@@ -553,31 +552,12 @@ def _prepare(
     return prepare_queries(index, queries, judgments, layout, retrieval, bm25), layout
 
 
-def _fit_with_optional_cutoff(
-    prepared: Sequence[PreparedQuery],
-    spec: AggregatorSpec,
-    layout: FeatureLayout | None,
-    config: TrainConfig,
-    cutoff_ridge: float | None,
-) -> Model:
-    model = train_model(prepared, spec, layout, config)
-    if cutoff_ridge is not None:
-        cutoff = train_soft_cutoff(model, prepared, ridge=cutoff_ridge, config=config)
-        model = Model(
-            weights=model.weights,
-            spec=cutoff.spec(),
-            layout=layout,
-            meta={**model.meta, "cutoff_ridge": cutoff_ridge},
-        )
-    return model
-
-
 def cmd_train(args: argparse.Namespace, stage: dict) -> list[str]:
     index, queries, judgments = _load_inputs(args, stage)
     prepared, layout, spec = _prepare_system(args, stage, index, queries, judgments)
     stage["name"] = "train"
     config = _train_config_from_args(args)
-    model = _fit_with_optional_cutoff(prepared, spec, layout, config, args.with_cutoff)
+    model = train_model(prepared, spec, layout, config, args.with_cutoff)
     model.meta.update(
         {
             "system": args.system,
@@ -678,10 +658,9 @@ def cmd_xval(args: argparse.Namespace, stage: dict) -> list[str]:
         prepared, layout, spec = _prepare_system(args, stage, index, queries, judgments)
         items = prepared
         config = _train_config_from_args(args)
-        cutoff_ridge = args.with_cutoff
 
         def fit(train: Sequence) -> Callable:
-            model = _fit_with_optional_cutoff(train, spec, layout, config, cutoff_ridge)
+            model = train_model(train, spec, layout, config, args.with_cutoff)
             return lambda pq: rank_entities(pq.query_id, model_scores(model, pq))
 
     stage["name"] = "cross-validate"

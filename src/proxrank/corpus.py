@@ -43,7 +43,6 @@ __all__ = [
     "load_corpus",
     "matched_idf_fraction",
     "phrase_starts",
-    "read_catalog",
     "read_qrels",
     "read_queries",
     "write_corpus",
@@ -416,11 +415,6 @@ class TermPostings:
         k = self.postings.numbers.get(doc_id)
         return [] if k is None else self.starts_in(np.array([k])).get(k, [])
 
-    def grouped(self) -> dict[str, list[int]]:
-        """The starts of every document holding the term, in ingest order."""
-        doc_ids = self.postings.doc_ids
-        return {doc_ids[k]: found for k, found in self.starts_in().items()}
-
 
 class CorpusIndex:
     """Positional inverted index over an ingested corpus.
@@ -511,21 +505,6 @@ class CorpusIndex:
             stream += [bounds[k] + p for p in starts]
         self.stats.phrase_df.setdefault(key, holding)
         return TermPostings(self.postings, np.array(stream, dtype=np.int32))
-
-    def occurrences(self, doc_id: str, term_tokens: Sequence[str]) -> list[int]:
-        """Start positions of the term (or phrase) in the document."""
-        if not term_tokens:
-            return []
-        first = self.postings.term(term_tokens[0]).starts(doc_id)
-        if len(term_tokens) == 1:  # a token's postings are its starts
-            return first
-        return phrase_starts(self.documents[doc_id].tokens, term_tokens, first)
-
-    def term_starts(self, term_tokens: Sequence[str]) -> Mapping[str, Sequence[int]]:
-        """Start positions of the term (or phrase) in each document holding it,
-        in ingest order (see :meth:`term_postings`)."""
-        return self.term_postings(term_tokens).grouped()
-
 
 def ingest_corpus(
     records: Iterable[Mapping | str | bytes],
@@ -1003,8 +982,3 @@ def write_qrels(judgments: Judgments, path: str) -> None:
                 fh.write(f"{qid} 0 {eid} 1\n")
             for eid in sorted(judgments.bad_for(qid)):
                 fh.write(f"{qid} 0 {eid} 0\n")
-
-
-def read_catalog(path: str) -> dict[str, frozenset[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_catalog(fh)

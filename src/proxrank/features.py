@@ -60,7 +60,6 @@ __all__ = [
     "cosine_score",
     "document_scores",
     "rectangle_features",
-    "to_dense",
 ]
 
 FAMILY_ORDER = ("noprox", "idfupto", "grid", "rectangle", "pad")
@@ -198,14 +197,6 @@ class FeatureLayout:
         j = np.searchsorted(self.distance_boundaries, distance)
         np.minimum(j, cols - 1, out=j)
         return i, cols - 1 - j
-
-    def distance_bucket(self, distance: int) -> int:
-        """Proximity coordinate j: larger means closer to the mention."""
-        return int(self.buckets([1.0], [distance])[1][0])
-
-    def idf_bucket(self, fraction: float) -> int:
-        """Rarity coordinate i: larger means a rarer matched term."""
-        return int(self.buckets([fraction], [1])[0][0])
 
     # -- serialization ---------------------------------------------------
 
@@ -427,13 +418,6 @@ def rectangle_features(
     row = _proximity_rows([context], query, stats, layout)[0]
     block = row[start : start + layout.family_size("rectangle")]
     return {start + int(k): float(block[k]) for k in np.flatnonzero(block)}
-
-
-def to_dense(vector: Mapping[int, float], dimension: int) -> np.ndarray:
-    out = np.zeros(dimension, dtype=float)
-    for idx, value in vector.items():
-        out[idx] = value
-    return out
 
 
 def context_matrix(

@@ -545,6 +545,7 @@ def train_model(
     spec: AggregatorSpec,
     layout: FeatureLayout | None,
     config: TrainConfig | None = None,
+    cutoff_ridge: float | None = None,
 ) -> Model:
     """Fit non-negative aggregation weights with L-BFGS-B.
 
@@ -558,8 +559,16 @@ def train_model(
     the solver's last gradient at no extra evaluation.  A non-finite objective
     or gradient raises, naming the iteration.  ``max_iters=0`` returns
     the initial point after one evaluation.
+
+    With ``cutoff_ridge`` set, the fit goes on to the rank-cutoff decay:
+    :func:`train_soft_cutoff` on the same training set, with that ridge.
+    The model then scores with the cutoff's spec and ``meta`` records
+    ``cutoff_ridge``.  A ridge that is not finite and positive is refused
+    before the first evaluation.
     """
     config = config or TrainConfig()
+    if cutoff_ridge is not None:
+        _check_cutoff_ridge(cutoff_ridge)
     if spec.transform == "indicator":
         raise TrainingError("the indicator transform is evaluation-only and cannot be trained")
     usable = [pq for pq in prepared if pq.trainable]
@@ -630,7 +639,12 @@ def train_model(
         "pair_cap": config.pair_cap,
         "seed": config.seed,
     }
-    return Model(weights=weights, spec=spec, layout=layout, meta=meta)
+    model = Model(weights=weights, spec=spec, layout=layout, meta=meta)
+    if cutoff_ridge is not None:
+        cutoff = train_soft_cutoff(model, training_set, ridge=cutoff_ridge, config=config)
+        model.spec = cutoff.spec()
+        meta["cutoff_ridge"] = cutoff_ridge
+    return model
 
 
 def model_scores(model: Model, pq: PreparedQuery) -> dict[str, float]:
@@ -742,13 +756,22 @@ def cutoff_objective(
 CUTOFF_TIE_BREAK = 1e-6
 
 
+def _check_cutoff_ridge(ridge: float) -> None:
+    if not (math.isfinite(ridge) and ridge > 0.0):
+        raise TrainingError(f"cutoff ridge must be finite and positive, got {ridge}")
+
+
 def train_soft_cutoff(
     model: Model,
-    prepared: Sequence[PreparedQuery],
+    prepared: Sequence[PreparedQuery] | TrainingSet,
     ridge: float = 1.0,
     config: TrainConfig | None = None,
 ) -> CutoffModel:
     """Fit the decile decay by linear programming, through the LP dual.
+
+    ``prepared`` is a :class:`TrainingSet`, or queries to build one from;
+    :func:`train_model` hands over the set its fit used.  The ridge must
+    be finite and positive.
 
     The decay is written as non-negative increments, D = M u with M the
     upper-triangular ones matrix and u >= 0, so D is non-negative and
@@ -784,9 +807,8 @@ def train_soft_cutoff(
     than it saves on these short, wide programs.
     """
     config = config or TrainConfig()
-    if ridge <= 0.0:
-        raise TrainingError(f"cutoff ridge must be positive, got {ridge}")
-    ts = TrainingSet.from_prepared(prepared, config)
+    _check_cutoff_ridge(ridge)
+    ts = _as_training_set(prepared, config)
     if not ts.pair_weight.size:
         raise TrainingError("no usable (good, bad) pairs for the cutoff program")
     profiles = _decile_profiles(model, ts)

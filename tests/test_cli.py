@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import proxrank
+import proxrank.training
 from proxrank.cli import main
 from proxrank.corpus import load_corpus
 from proxrank.evaluation import EvalReport, read_report, read_run, write_report
@@ -191,6 +192,32 @@ class TestTrainCommand:
         assert f"proxrank train: train: {field} must be finite" in capsys.readouterr().err
         assert manifest_of(out)["status"] == "failed"
         assert not os.path.exists(os.path.join(out, "model.json"))
+
+    @pytest.mark.parametrize("command, stage", [("train", "train"), ("xval", "cross-validate")])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_bad_cutoff_ridge_fails_before_any_evaluation(
+        self, synth_dir, tmp_path, capsys, monkeypatch, command, stage, value
+    ):
+        evaluations = []
+        monkeypatch.setattr(
+            proxrank.training, "objective_and_gradient", lambda *args: evaluations.append(args)
+        )
+        out = str(tmp_path / "bad-cutoff")
+        code = main(
+            [
+                command,
+                "--corpus", os.path.join(synth_dir, "corpus.jsonl"),
+                "--queries", os.path.join(synth_dir, "queries.jsonl"),
+                "--qrels", os.path.join(synth_dir, "qrels.txt"),
+                "--out", out, "--window", "30", f"--with-cutoff={value}",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"proxrank {command}: {stage}: cutoff ridge must be finite and positive" in err
+        assert manifest_of(out)["status"] == "failed"
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        assert evaluations == []
 
     def test_nan_idf_boundary_fails_at_featurize(self, synth_dir, tmp_path, capsys):
         out = str(tmp_path / "bad-layout")

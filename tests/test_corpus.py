@@ -305,7 +305,7 @@ class TestPhraseScanner:
         expected = oracles.phrase_starts_brute(tokens, key)
         assert phrase_starts(tokens, key, range(len(tokens))) == expected
         index = documents_to_index([Document(doc_id="d", tokens=tokens)])
-        assert index.occurrences("d", key) == expected
+        assert index.term_postings(key).starts("d") == expected
 
     def test_fixture_documents_match_brute_force_scan(self, fixture_index):
         # d05 holds the near miss "programming languages".
@@ -313,5 +313,5 @@ class TestPhraseScanner:
         for doc_id, doc in fixture_index.documents.items():
             for key in keys:
                 expected = oracles.phrase_starts_brute(doc.tokens, key)
-                assert fixture_index.occurrences(doc_id, key) == expected, (doc_id, key)
-        assert fixture_index.occurrences("d05", ("programming", "language")) == []
+                assert fixture_index.term_postings(key).starts(doc_id) == expected, (doc_id, key)
+        assert fixture_index.term_postings(("programming", "language")).starts("d05") == []

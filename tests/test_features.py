@@ -86,30 +86,22 @@ class TestLayoutGeometry:
         assert FeatureLayout().dimension == 2 + 10 * 6 + 1
 
     def test_distance_buckets_count_toward_mention(self):
-        assert SMALL.distance_bucket(1) == 2
-        assert SMALL.distance_bucket(2) == 2
-        assert SMALL.distance_bucket(3) == 1
-        assert SMALL.distance_bucket(4) == 1
-        assert SMALL.distance_bucket(5) == 0
-        assert SMALL.distance_bucket(8) == 0
-        assert SMALL.distance_bucket(9) == 0  # beyond the last split: farthest
+        # The last distance is beyond the last split: farthest.
+        _, j = SMALL.buckets([1.0] * 7, [1, 2, 3, 4, 5, 8, 9])
+        assert j.tolist() == [2, 2, 1, 1, 0, 0, 0]
 
     def test_idf_buckets(self):
-        assert SMALL.idf_bucket(0.1) == 0
-        assert SMALL.idf_bucket(0.25) == 0
-        assert SMALL.idf_bucket(0.35) == 1
-        assert SMALL.idf_bucket(0.75) == 2
-        assert SMALL.idf_bucket(0.76) == 3
-        assert SMALL.idf_bucket(1.0) == 3
+        i, _ = SMALL.buckets([0.1, 0.25, 0.35, 0.75, 0.76, 1.0], [1] * 6)
+        assert i.tolist() == [0, 0, 1, 2, 3, 3]
 
     def test_bucket_ranges(self):
         # A share a rounding step above 1 still lands in the rarest row.
-        assert SMALL.idf_bucket(1.0 + 1e-13) == 3
+        assert SMALL.buckets([1.0 + 1e-13], [1])[0].tolist() == [3]
         for share in (0.0, -0.1, 1.0 + 1e-11, math.nan):
             with pytest.raises(FeatureError, match=r"^IDF fraction out of range: "):
-                SMALL.idf_bucket(share)
+                SMALL.buckets([share], [1])
         with pytest.raises(FeatureError, match=r"^distance must be >= 1, got 0$"):
-            SMALL.distance_bucket(0)
+            SMALL.buckets([1.0], [0])
         # Many matches at once: the first one out of range raises its error.
         with pytest.raises(FeatureError, match=r"^distance must be >= 1, got -2$"):
             SMALL.buckets([0.5, 0.5, 2.0], [3, -2, 1])
@@ -118,9 +110,8 @@ class TestLayoutGeometry:
 
     def test_worked_example_cell(self):
         # share 0.35 at distance 3 lands in grid cell (1, 1)
-        i = SMALL.idf_bucket(0.35)
-        j = SMALL.distance_bucket(3)
-        assert (i, j) == (1, 1)
+        i, j = SMALL.buckets([0.35], [3])
+        assert (int(i[0]), int(j[0])) == (1, 1)
 
     def test_layout_validation(self):
         with pytest.raises(FeatureError):
@@ -219,12 +210,9 @@ class TestProximityFamilies:
         idf_created = 8 / 3
         idf_python = 8 / 4
         total = idf_created + idf_python
-        cell_created = SMALL.cell_index(
-            "grid", SMALL.idf_bucket(idf_created / total), SMALL.distance_bucket(1)
-        )
-        cell_python = SMALL.cell_index(
-            "grid", SMALL.idf_bucket(idf_python / total), SMALL.distance_bucket(3)
-        )
+        i, j = SMALL.buckets([idf_created / total, idf_python / total], [1, 3])
+        cell_created = SMALL.cell_index("grid", int(i[0]), int(j[0]))
+        cell_python = SMALL.cell_index("grid", int(i[1]), int(j[1]))
         assert vec == {cell_created: 1.0, cell_python: 1.0}
 
     def test_rectangle_fires_dominated_cells(self, fixture_index):
@@ -648,8 +636,8 @@ class TestQueryScopedFeaturizer:
                 ]
                 for row, ctx in zip(rows, contexts):
                     alone = document_scores(index.documents[ctx.doc_id], query, index.stats, layout)
-                    dense = features.to_dense(alone, layout.dimension)
-                    assert dense[whole].tobytes() == row[whole].tobytes()
+                    dense = np.array([alone.get(k, 0.0) for k in whole])
+                    assert dense.tobytes() == row[whole].tobytes()
                     assert set(alone) <= set(whole)
                     checked += 1
         assert checked > 100

@@ -1,11 +1,14 @@
 """Which scipy modules each entry point loads, in a fresh interpreter.
 
 The read path (ingest, synth, rank, eval) needs numpy alone; scipy is
-imported where a fit (L-BFGS-B), the cutoff LP or a t-test runs.
+imported where a fit (L-BFGS-B), the cutoff LP or a t-test runs.  And
+every name a module's ``__all__`` exports resolves.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -126,3 +129,13 @@ def test_compare_loads_the_t_distribution(inputs):
     assert "scipy.stats" in modules
     with open(os.path.join(inputs["out"], "compare", "comparison.tsv")) as fh:
         assert "*" in fh.read()  # a t-test ran and found the shifted system
+
+
+def test_every_exported_name_resolves():
+    exported = 0
+    for info in pkgutil.iter_modules(proxrank.__path__):
+        module = importlib.import_module(f"proxrank.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+            exported += 1
+    assert exported > 50

@@ -398,7 +398,7 @@ class TestPhraseChecks:
             config = RetrievalConfig(window=int(rng.integers(1, 16)))
             got = find_candidates(index, query, config)
             phrases = [t.tokens for t in query.distinct_terms() if t.is_phrase]
-            want = Counter({p: len(index.term_starts(p[:1])) for p in phrases})
+            want = Counter({p: len(index.term_postings(p[:1]).starts_in()) for p in phrases})
             assert Counter(checked) == +want
             total += len(checked)
             for p in phrases:
@@ -455,10 +455,12 @@ class TestPhrasesAtDocumentBoundaries:
                 for doc in documents
                 if oracles.phrase_starts_brute(doc.tokens, phrase)
             }
-            assert index.term_starts(phrase) == want
+            postings = index.term_postings(phrase)
+            doc_ids = index.postings.doc_ids
+            assert {doc_ids[k]: starts for k, starts in postings.starts_in().items()} == want
             assert index.phrase_df(phrase) == len(want)
             for doc in documents:
-                assert index.occurrences(doc.doc_id, phrase) == want.get(doc.doc_id, [])
+                assert postings.starts(doc.doc_id) == want.get(doc.doc_id, [])
             query = Query("q", [QueryTerm(" ".join(phrase), required=bool(rng.random() < 0.5))])
             if rng.random() < 0.5:
                 query.terms.append(QueryTerm(VOCAB[int(rng.integers(0, len(VOCAB)))]))

@@ -72,7 +72,11 @@ def nested(postings):
     to each document holding it to its positions there."""
     if isinstance(postings, dict):  # the oracle's own
         return postings
-    return {text: postings.term(text).grouped() for text in postings.tokens}
+    doc_ids = postings.doc_ids
+    return {
+        text: {doc_ids[k]: starts for k, starts in postings.term(text).starts_in().items()}
+        for text in postings.tokens
+    }
 
 
 def content(index):

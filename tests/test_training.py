@@ -1,6 +1,7 @@
 """Pairwise objective, L-BFGS-B fitting and its stop record, model files, cutoff LP."""
 
 import itertools
+import json
 import math
 import time
 
@@ -950,6 +951,105 @@ class TestCutoff:
             CutoffModel(decay=np.ones(9), ridge=1.0)
         with pytest.raises(TrainingError):
             CutoffModel(decay=np.linspace(0.0, 1.0, 10), ridge=1.0)  # increasing
+
+
+class TestFitWithCutoff:
+    """``train_model(..., cutoff_ridge=r)`` is the one fit-with-cutoff path."""
+
+    @staticmethod
+    def random_fit(rng, ladder):
+        # A one-entity query has no pairs.  Ridge selection needs pairs in
+        # every inner fold, so it gets none of those.
+        dim = int(rng.integers(2, 8))
+        fewest = 1 if ladder is None else 2
+        prepared = [
+            random_prepared(
+                rng, query_id=f"q{k}", dimension=dim, n_entities=int(rng.integers(fewest, 8)),
+                max_contexts=int(rng.integers(1, 25)),
+            )
+            for k in range(int(rng.integers(2, 6)))
+        ]
+        config = default_config(
+            seed=int(rng.integers(0, 5)), pair_cap=int(rng.choice([3, 10_000])),
+            max_iters=int(rng.integers(0, 30)), folds=2, ridge_ladder=ladder,
+        )
+        return prepared, config, float(rng.choice([0.5, 1.0, 10.0]))
+
+    @pytest.mark.parametrize("ladder", [None, (0.5, 5.0)], ids=["fixed", "ladder"])
+    def test_hex_equal_to_train_model_then_train_soft_cutoff(self, ladder):
+        rng = np.random.default_rng(83)
+        nonzero = 0
+        names = ["sum", "avg", "softmax", "softcount", "softor"]
+        for name, _ in itertools.product(names, range(8)):
+            spec = AggregatorSpec.from_name(name)
+            prepared, config, ridge = self.random_fit(rng, ladder)
+            if not any(pq.trainable for pq in prepared):
+                continue
+            got = train_model(prepared, spec, None, config, cutoff_ridge=ridge)
+            model = train_model(prepared, spec, None, config)
+            cutoff = train_soft_cutoff(model, prepared, ridge=ridge, config=config)
+            assert got.weights.tobytes() == model.weights.tobytes()
+            assert got.spec == cutoff.spec()
+            assert [d.hex() for d in got.spec.decay] == [d.hex() for d in cutoff.decay]
+            want_meta = {**model.meta, "cutoff_ridge": ridge}
+            assert json.dumps(got.meta, sort_keys=True) == json.dumps(want_meta, sort_keys=True)
+            nonzero += bool(np.any(cutoff.decay))
+        assert nonzero > 10
+
+    def test_a_fit_builds_one_training_set(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        built = []
+        real = TrainingSet.from_prepared
+
+        def counting(prepared, config):
+            built.append(config)
+            return real(prepared, config)
+
+        monkeypatch.setattr(TrainingSet, "from_prepared", staticmethod(counting))
+        prepared = [random_prepared(rng, query_id=f"q{k}", dimension=4) for k in range(3)]
+        train_model(prepared, AggregatorSpec.from_name("softmax"), None, default_config(), 1.0)
+        assert len(built) == 1
+
+    def test_ridge_selection_keeps_the_pair_draw(self, monkeypatch):
+        # The inner folds build their own sets; every set, the final fit's
+        # among them, draws with the caller's pair cap and seed.
+        rng = np.random.default_rng(97)
+        prepared = [random_prepared(rng, query_id=f"q{k}", dimension=4) for k in range(4)]
+        config = default_config(seed=3, pair_cap=2, max_iters=5, folds=2, ridge_ladder=(0.5, 5.0))
+        built, inner = [], []
+        real_set, real_fit = TrainingSet.from_prepared, proxrank.training.train_model
+
+        def counting_set(prepared, config):
+            built.append(config)
+            return real_set(prepared, config)
+
+        def counting_fit(*args, **kwargs):
+            inner.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(TrainingSet, "from_prepared", staticmethod(counting_set))
+        monkeypatch.setattr(proxrank.training, "train_model", counting_fit)
+        model = real_fit(prepared, AggregatorSpec.from_name("sum"), None, config, cutoff_ridge=1.0)
+        assert inner and len(built) == len(inner) + 1
+        assert {(c.pair_cap, c.seed) for c in built} == {(2, 3)}
+        assert model.meta["ridge_width"] in (0.5, 5.0)
+
+    @pytest.mark.parametrize("ridge", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_bad_cutoff_ridge_is_refused_before_any_evaluation(self, ridge, monkeypatch):
+        rng = np.random.default_rng(101)
+        prepared = [random_prepared(rng, query_id=f"q{k}", dimension=4) for k in range(3)]
+        spec = AggregatorSpec.from_name("sum")
+        model = Model(rng.random(4), spec, None)
+        with pytest.raises(TrainingError, match="cutoff ridge must be finite and positive"):
+            train_soft_cutoff(model, prepared, ridge=ridge, config=default_config())
+        evaluations = []
+        monkeypatch.setattr(
+            proxrank.training, "objective_and_gradient", lambda *args: evaluations.append(args)
+        )
+        for config in (default_config(), default_config(ridge_ladder=(0.5, 5.0))):
+            with pytest.raises(TrainingError, match="cutoff ridge must be finite and positive"):
+                train_model(prepared, spec, None, config, cutoff_ridge=ridge)
+        assert evaluations == []
 
 
 class TestPipeline:
